@@ -6,8 +6,9 @@
 // Sizes are scaled down from the paper's 100..8000 sweep so that the real
 // leaf computations finish in seconds on this machine (see EXPERIMENTS.md).
 //
-// GUEST EXECUTION TIER ABLATION (always runs first): the gemm kernel under
-// the interpreter's execution tiers, composed one at a time —
+// GUEST EXECUTION TIER ABLATION (always runs first): the gemm kernel and the
+// Fig. 7 inference MLP under the interpreter's execution tiers, composed one
+// at a time —
 //   baseline    switch dispatch + inline bounds checks + no fusion (the seed)
 //   +threaded   computed-goto dispatch
 //   +guard      guard-page bounds elision (no inline bounds branches)
@@ -15,22 +16,29 @@
 // Every tier must produce the bit-identical checksum, the native twin's
 // checksum, and the identical instructions_retired count; a quick OOB probe
 // checks that both bounds tiers still convert a wild access into the same
-// trap. The run GATES on the full fast tier reaching >= 2x the baseline's
-// interpreted instructions per second.
+// trap. The MLP runs as a Faaslet, exactly as served (state mapped into guest
+// memory, host calls included in the timing); its checksum is the sum of the
+// predicted classes, which must match MlpReference. The run GATES on the
+// full fast tier reaching >= 2x the baseline's interpreted instructions per
+// second on gemm; the MLP rungs are reported, not gated.
 //
 //   fig8_matmul [--tiny] [--json <path>]
 //
 // --tiny runs only the ablation at a smaller size (CI smoke); --json writes
 // the ablation result (BENCH_guest.json in CI).
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "baseline/knative.h"
 #include "common/clock.h"
+#include "core/faaslet.h"
 #include "runtime/cluster.h"
 #include "wasm/instance.h"
+#include "workloads/inference.h"
 #include "workloads/kernels.h"
 #include "workloads/matmul.h"
 
@@ -129,22 +137,18 @@ TierResult RunGuestTier(const GuestTier& tier, uint32_t n, int reps) {
 
 // Both bounds tiers must turn a wild access into the same trap. Returns true
 // when checked and guard (as instantiated, post any sanitizer downgrade)
-// agree on kMemoryOutOfBounds.
-bool ProbeOobAgreement() {
-  const Kernel& gemm = PolybenchKernels()[0];
-  auto compiled = gemm.build_wasm();
-  if (!compiled.ok()) {
-    return false;
-  }
-  // run(n) with a huge n indexes far past the heap: every tier must trap.
+// agree on kMemoryOutOfBounds for `entry(args)`.
+bool ProbeOob(const std::shared_ptr<const wasm::CompiledModule>& compiled,
+              wasm::ImportResolver* resolver, const std::string& entry,
+              const std::vector<wasm::Value>& args) {
   for (auto bounds : {wasm::GuestBounds::kChecked, wasm::GuestBounds::kGuardPage}) {
     wasm::InstanceOptions options;
     options.bounds = bounds;
-    auto instance = wasm::Instance::Create(compiled.value(), nullptr, nullptr, options);
+    auto instance = wasm::Instance::Create(compiled, resolver, nullptr, options);
     if (!instance.ok()) {
       return false;
     }
-    auto out = instance.value()->CallExport("run", {wasm::MakeI32(1 << 30)});
+    auto out = instance.value()->CallExport(entry, args);
     if (out.ok() || out.status().message().find("out of bounds memory access") ==
                         std::string::npos) {
       std::fprintf(stderr, "OOB probe: expected an out-of-bounds trap, got %s\n",
@@ -153,6 +157,12 @@ bool ProbeOobAgreement() {
     }
   }
   return true;
+}
+
+bool ProbeOobAgreement() {
+  auto compiled = PolybenchKernels()[0].build_wasm();
+  // run(n) with a huge n indexes far past the heap: every tier must trap.
+  return compiled.ok() && ProbeOob(compiled.value(), nullptr, "run", {wasm::MakeI32(1 << 30)});
 }
 
 struct AblationResult {
@@ -165,31 +175,35 @@ struct AblationResult {
   uint32_t n = 0;
 };
 
+// Prints the rung table and fills agree/speedup: every rung must reproduce
+// `reference` and the baseline's retired count.
+void Summarise(AblationResult& result, double reference) {
+  std::printf("%-12s %14s %16s %12s %10s\n", "tier", "checksum", "retired", "time(s)",
+              "MIPS");
+  result.agree = true;
+  for (int t = 0; t < 4; ++t) {
+    const TierResult& r = result.tiers[t];
+    std::printf("%-12s %14.6f %16llu %12.4f %10.1f\n", kGuestTiers[t].name, r.checksum,
+                static_cast<unsigned long long>(r.retired), r.seconds, r.mips);
+    if (r.checksum != reference || r.retired != result.tiers[0].retired) {
+      result.agree = false;
+    }
+  }
+  result.speedup = result.tiers[0].mips > 0 ? result.tiers[3].mips / result.tiers[0].mips : 0;
+}
+
 AblationResult RunGuestAblation(uint32_t n, int reps) {
   AblationResult result;
   result.n = n;
   PrintHeader("Guest execution tiers: gemm kernel, interpreted MIPS per tier");
-  std::printf("%-12s %14s %16s %12s %10s\n", "tier", "checksum", "retired", "time(s)",
-              "MIPS");
   for (int t = 0; t < 4; ++t) {
     result.tiers[t] = RunGuestTier(kGuestTiers[t], n, reps);
-    const TierResult& r = result.tiers[t];
-    if (!r.ok) {
+    if (!result.tiers[t].ok) {
       return result;
     }
-    std::printf("%-12s %14.6f %16llu %12.4f %10.1f\n", kGuestTiers[t].name, r.checksum,
-                static_cast<unsigned long long>(r.retired), r.seconds, r.mips);
   }
-
-  const double native = PolybenchKernels()[0].native(n);
-  result.agree = true;
-  for (const TierResult& r : result.tiers) {
-    if (r.checksum != native || r.retired != result.tiers[0].retired) {
-      result.agree = false;
-    }
-  }
+  Summarise(result, PolybenchKernels()[0].native(n));
   result.oob_ok = ProbeOobAgreement();
-  result.speedup = result.tiers[0].mips > 0 ? result.tiers[3].mips / result.tiers[0].mips : 0;
 
   // The 2x gate compares the full fast tier against the seed configuration;
   // it only applies when the fast tiers are actually available (sanitizer
@@ -205,7 +219,145 @@ AblationResult RunGuestAblation(uint32_t n, int reps) {
   return result;
 }
 
-bool WriteGuestJson(const std::string& path, const AblationResult& r) {
+// --- The same ablation on the inference MLP -------------------------------------
+
+// Runs every rung's MLP Faaslet inside one single-host cluster holding the
+// weights. Per rung: one warm-up call (pulls the weights), then `reps` timed
+// calls, each on a fresh image and followed by a Reset as in serving. The
+// checksum is the sum of predicted classes; `reference` gets MlpReference's.
+bool RunMlpTiers(int reps, AblationResult& result, double* reference) {
+  const MlpDims dims;
+  ClusterConfig config;
+  config.hosts = 1;
+  FaasmCluster cluster(config);
+  SeedMlpWeights(cluster.kvs(), dims);
+  auto fused = BuildMlpWasmModule(dims);
+  if (!fused.ok()) {
+    std::fprintf(stderr, "MLP build failed: %s\n", fused.status().ToString().c_str());
+    return false;
+  }
+  wasm::CompileOptions copts;
+  copts.fuse_superinstructions = false;
+  auto unfused = wasm::CompileModule(fused.value()->module, copts);
+  if (!unfused.ok() || !cluster.registry().RegisterWasm("mlp", fused.value()).ok() ||
+      !cluster.registry().RegisterWasm("mlp-unfused", unfused.value()).ok()) {
+    std::fprintf(stderr, "MLP registration failed\n");
+    return false;
+  }
+  *reference = 0;
+  for (int i = 0; i <= reps; ++i) {
+    *reference += MlpReference(cluster.kvs(), dims, SyntheticImage(dims, i));
+  }
+
+  bool ok = true;
+  cluster.Run([&](Frontend&) {
+    FaasmInstance& host = cluster.host(0);
+    for (int t = 0; t < 4 && ok; ++t) {
+      const GuestTier& tier = kGuestTiers[t];
+      TierResult& r = result.tiers[t];
+      auto spec = cluster.registry().Lookup(tier.fused ? "mlp" : "mlp-unfused");
+      if (!spec.ok()) {
+        ok = false;
+        return;
+      }
+      FaasletEnv env;
+      env.clock = &cluster.clock();
+      env.tier = &host.tier();
+      env.files = &cluster.files();
+      env.network = &cluster.network();
+      env.host_endpoint = host.name();
+      env.cpu = &host.cpu();
+      env.guest_bounds = tier.bounds;
+      env.guest_dispatch = tier.dispatch;
+      auto faaslet = Faaslet::Create(spec.value(), env);
+      if (!faaslet.ok() || faaslet.value()->instance() == nullptr) {
+        std::fprintf(stderr, "MLP Faaslet creation failed (%s)\n", tier.name);
+        ok = false;
+        return;
+      }
+      Faaslet& f = *faaslet.value();
+      r.guard_effective = f.instance()->effective_bounds() == wasm::GuestBounds::kGuardPage;
+      for (int i = 0; i <= reps; ++i) {
+        const uint64_t before = f.instance()->instructions_retired();
+        Stopwatch watch;
+        auto code = f.Execute(EncodeImage(SyntheticImage(dims, i)));
+        const double seconds = static_cast<double>(watch.ElapsedNs()) / 1e9;
+        const Bytes output = f.TakeOutput();
+        if (!code.ok() || code.value() != 0 || output.size() != 4 || !f.Reset().ok()) {
+          std::fprintf(stderr, "MLP call failed (%s)\n", tier.name);
+          ok = false;
+          return;
+        }
+        uint32_t predicted = 0;
+        std::memcpy(&predicted, output.data(), 4);
+        r.checksum += predicted;
+        if (i == 0) {
+          continue;  // warm-up: the first call pulls the weights
+        }
+        r.retired = f.instance()->instructions_retired() - before;
+        const double mips = static_cast<double>(r.retired) / seconds / 1e6;
+        if (mips > r.mips) {
+          r.mips = mips;
+          r.seconds = seconds;
+        }
+      }
+      r.ok = true;
+    }
+  });
+  return ok;
+}
+
+// A wild state pointer must trap identically in both bounds tiers: every
+// import is stubbed, and get_state hands back an address far past the MLP's
+// memory, so the first weight load faults.
+bool ProbeMlpOobAgreement() {
+  class WildStateResolver : public wasm::ImportResolver {
+   public:
+    Result<wasm::HostFn> Resolve(const wasm::Import& import, const wasm::FuncType&) override {
+      const uint32_t value = import.name == "get_state" ? 0xFFFF0000u : 0;
+      return wasm::HostFn(
+          [value](wasm::Instance&, const wasm::Value*, size_t, wasm::Value* results) {
+            results[0] = wasm::MakeI32(value);
+            return OkStatus();
+          });
+    }
+  };
+  WildStateResolver resolver;
+  auto compiled = BuildMlpWasmModule(MlpDims{});
+  return compiled.ok() && ProbeOob(compiled.value(), &resolver, "main", {});
+}
+
+// The MLP rungs are reported with the same agreement checks, but not gated.
+AblationResult RunMlpAblation(int reps) {
+  AblationResult result;
+  PrintHeader("Guest execution tiers: inference MLP Faaslet, interpreted MIPS per tier");
+  double reference = 0;
+  if (!RunMlpTiers(reps, result, &reference)) {
+    return result;
+  }
+  Summarise(result, reference);
+  result.oob_ok = ProbeMlpOobAgreement();
+  std::printf("\nfast-tier speedup: %.2fx over the seed interpreter (reported, not gated)\n",
+              result.speedup);
+  std::printf("agreement: checksums %s MlpReference, retired counts %s%s\n",
+              result.agree ? "match" : "DIVERGE", result.agree ? "identical" : "DIVERGE",
+              result.oob_ok ? ", OOB traps agree" : ", OOB PROBE FAILED");
+  return result;
+}
+
+void WriteTiers(std::FILE* f, const AblationResult& r, const char* indent) {
+  std::fprintf(f, "%s\"tiers\": {\n", indent);
+  for (int t = 0; t < 4; ++t) {
+    std::fprintf(f, "%s  \"%s\": {\"mips\": %.2f, \"retired\": %llu, \"seconds\": %.6f}%s\n",
+                 indent, kGuestTiers[t].name, r.tiers[t].mips,
+                 static_cast<unsigned long long>(r.tiers[t].retired), r.tiers[t].seconds,
+                 t + 1 < 4 ? "," : "");
+  }
+  std::fprintf(f, "%s},\n", indent);
+}
+
+bool WriteGuestJson(const std::string& path, const AblationResult& r,
+                    const AblationResult& mlp) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -213,18 +365,15 @@ bool WriteGuestJson(const std::string& path, const AblationResult& r) {
   }
   std::fprintf(f, "{\n  \"bench\": \"fig8_matmul\",\n  \"mode\": \"guest-tiers\",\n");
   std::fprintf(f, "  \"kernel\": \"gemm\",\n  \"n\": %u,\n", r.n);
-  std::fprintf(f, "  \"tiers\": {\n");
-  for (int t = 0; t < 4; ++t) {
-    std::fprintf(f, "    \"%s\": {\"mips\": %.2f, \"retired\": %llu, \"seconds\": %.6f}%s\n",
-                 kGuestTiers[t].name, r.tiers[t].mips,
-                 static_cast<unsigned long long>(r.tiers[t].retired), r.tiers[t].seconds,
-                 t + 1 < 4 ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
+  WriteTiers(f, r, "  ");
   std::fprintf(f, "  \"speedup\": %.3f,\n  \"agree\": %s,\n  \"oob_agree\": %s,\n",
                r.speedup, r.agree ? "true" : "false", r.oob_ok ? "true" : "false");
-  std::fprintf(f, "  \"gated\": %s,\n  \"gate_ok\": %s\n}\n", r.gated ? "true" : "false",
+  std::fprintf(f, "  \"gated\": %s,\n  \"gate_ok\": %s,\n", r.gated ? "true" : "false",
                r.gate_ok ? "true" : "false");
+  std::fprintf(f, "  \"mlp\": {\n");
+  WriteTiers(f, mlp, "    ");
+  std::fprintf(f, "    \"speedup\": %.3f,\n    \"agree\": %s,\n    \"oob_agree\": %s\n  }\n}\n",
+               mlp.speedup, mlp.agree ? "true" : "false", mlp.oob_ok ? "true" : "false");
   std::fclose(f);
   std::printf("[wrote %s]\n", path.c_str());
   return true;
@@ -294,12 +443,17 @@ int main(int argc, char** argv) {
   }
 
   const AblationResult ablation = RunGuestAblation(tiny ? 40 : 72, tiny ? 3 : 5);
+  const AblationResult mlp = RunMlpAblation(tiny ? 3 : 5);
   bool ok = true;
   for (const TierResult& r : ablation.tiers) {
     ok = ok && r.ok;
   }
+  for (const TierResult& r : mlp.tiers) {
+    ok = ok && r.ok;
+  }
   ok = ok && ablation.agree && ablation.oob_ok && ablation.gate_ok;
-  if (!json_path.empty() && !WriteGuestJson(json_path, ablation)) {
+  ok = ok && mlp.agree && mlp.oob_ok;
+  if (!json_path.empty() && !WriteGuestJson(json_path, ablation, mlp)) {
     ok = false;
   }
   if (!ok) {

@@ -5,8 +5,9 @@
 // tail pages alias shared physical memory (paper §3.3, Fig. 2).
 //
 // Out-of-bounds enforcement depends on the interpreter's bounds tier
-// (wasm/instance.h GuestBounds). The checked tier tests InBounds() before
-// every access. The guard-page tier elides those tests: the reservation
+// (wasm/instance.h GuestBounds). The checked tier tests every access against
+// size_bytes(), cached by the interpreter and refreshed after memory.grow and
+// host calls. The guard-page tier elides those tests: the reservation
 // spans the entire reachable range of a 32-bit address plus a 32-bit static
 // offset, so any unchecked guest access past the committed frontier lands on
 // a PROT_NONE page and raises SIGSEGV, which a scoped handler

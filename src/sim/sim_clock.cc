@@ -88,32 +88,56 @@ bool SimClock::WaitFor(const std::function<bool()>& pred, TimeNs quantum_ns, Tim
 SimExecutor::~SimExecutor() { JoinAll(); }
 
 void SimExecutor::Spawn(std::function<void()> fn) {
-  std::lock_guard<std::mutex> guard(threads_mutex_);
-  // Register on the spawner's side so the clock cannot advance past the new
-  // activity's start in the window before the thread begins running.
-  clock_.RegisterThread();
-  threads_.emplace_back([this, fn = std::move(fn)] {
-    fn();
-    clock_.UnregisterThread();
-  });
+  std::vector<std::thread> to_join;
+  {
+    std::lock_guard<std::mutex> guard(threads_mutex_);
+    for (uint64_t id : finished_) {
+      auto it = threads_.find(id);
+      if (it != threads_.end()) {  // absent if JoinAll already took it
+        to_join.push_back(std::move(it->second));
+        threads_.erase(it);
+      }
+    }
+    finished_.clear();
+    // Register on the spawner's side so the clock cannot advance past the new
+    // activity's start in the window before the thread begins running.
+    clock_.RegisterThread();
+    const uint64_t id = next_activity_++;
+    // The new thread cannot report itself finished before it is in threads_:
+    // that needs threads_mutex_, held until the emplace is done.
+    threads_.emplace(id, std::thread([this, id, fn = std::move(fn)]() mutable {
+                       fn();
+                       fn = nullptr;  // captures die before the activity counts as finished
+                       clock_.UnregisterThread();
+                       std::lock_guard<std::mutex> done(threads_mutex_);
+                       finished_.push_back(id);
+                     }));
+  }
+  // A finished activity only has to return from its thread function, so
+  // these joins do not wait on the simulation.
+  for (auto& thread : to_join) {
+    thread.join();
+  }
 }
 
 void SimExecutor::JoinAll() {
-  // Joining must not hold the mutex: running activities may Spawn() children.
-  // Loop until no new threads appear.
+  // Joining must not hold the mutex: running activities may Spawn() children
+  // and report themselves finished. Loop until no new threads appear.
   while (true) {
     std::vector<std::thread> to_join;
     {
       std::lock_guard<std::mutex> guard(threads_mutex_);
       if (threads_.empty()) {
+        finished_.clear();
         return;
       }
-      to_join.swap(threads_);
+      for (auto& [id, thread] : threads_) {
+        to_join.push_back(std::move(thread));
+      }
+      threads_.clear();
     }
     for (auto& thread : to_join) {
-      if (thread.joinable()) {
-        thread.join();
-      }
+      thread.join();
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -77,7 +78,11 @@ class SimClock final : public Clock {
 };
 
 // Owns a set of worker threads registered with a SimClock. Spawn() starts a
-// simulated activity; JoinAll() waits for every activity to finish.
+// simulated activity; JoinAll() waits for every activity to finish. Each
+// Spawn() first joins the activities that have finished since the last one,
+// so a long-running executor holds threads only for live activities (an
+// unjoined thread keeps its stack mapped, and the process runs out of them
+// after a few tens of thousands).
 class SimExecutor {
  public:
   SimExecutor() = default;
@@ -94,7 +99,12 @@ class SimExecutor {
  private:
   SimClock clock_;
   std::mutex threads_mutex_;
-  std::vector<std::thread> threads_;
+  // Keyed by a per-executor activity number, never reused (thread ids are,
+  // once joined).
+  std::unordered_map<uint64_t, std::thread> threads_;
+  uint64_t next_activity_ = 0;
+  // Activities that have returned and only wait to be joined.
+  std::vector<uint64_t> finished_;
 };
 
 }  // namespace faasm

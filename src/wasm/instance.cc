@@ -283,6 +283,15 @@ Result<std::vector<Value>> Instance::CallFunction(uint32_t func_index, std::vect
 // (saved/restored here for nesting through host functions) makes the retired
 // count exact on every exit path, including a guard-page longjmp that
 // abandons the dispatch loop's stack frame mid-segment.
+//
+// At an abrupt exit the in-flight segment is read from the top frame's pc.
+// The dispatch loop holds pc in a register and spills it to Frame::pc at
+//   - call, call_indirect and host calls (before the call),
+//   - every trap exit (FAASM_TRAP, including fuel exhaustion),
+//   - every memory access in the guard tier (the SIGSEGV siglongjmp runs no
+//     trap exit),
+// and writes block_start_pc_ through at every segment flush, so the charge is
+// exact on each of those paths.
 class Instance::CallScope {
  public:
   explicit CallScope(Instance* instance)

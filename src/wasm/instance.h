@@ -6,7 +6,8 @@
 // both selectable per instance (InstanceOptions) for ablation:
 //
 //   Bounds tier (GuestBounds)
-//     kChecked    every load/store runs LinearMemory::InBounds inline.
+//     kChecked    every load/store is compared inline against the memory
+//                 size, which the dispatch loop caches in a register.
 //     kGuardPage  no inline checks. LinearMemory reserves the whole
 //                 u32-address + u32-offset range PROT_NONE; a wild access
 //                 faults and a scoped SIGSEGV handler (wasm/guard_trap.h)
@@ -137,7 +138,9 @@ class Instance {
 
   // RAII accounting for one Run(): zeroes the per-call segment counters on
   // entry and folds them (plus any in-flight segment at an abrupt trap exit,
-  // including a guard-page longjmp) into instructions_retired_ on exit.
+  // including a guard-page longjmp) into instructions_retired_ on exit. The
+  // in-flight segment is [block_start_pc_, top Frame::pc), current at every
+  // exit because of where the dispatch loop spills pc (instance.cc).
   class CallScope;
 
   Instance(std::shared_ptr<const CompiledModule> compiled, const InstanceOptions& options)
@@ -182,6 +185,9 @@ class Instance {
   std::vector<uint32_t> table_;  // function indices; UINT32_MAX = null
   std::vector<HostFn> host_functions_;
 
+  // Operand/locals stack. While the dispatch loop runs it keeps the stack
+  // pointer and the top frame's pc in registers; sp_ and Frame::pc hold them
+  // only at the loop's spill points (interp_body.inc).
   std::vector<Value> stack_;
   size_t sp_ = 0;
   std::vector<Frame> frames_;
@@ -195,7 +201,10 @@ class Instance {
   // Per-call segment accounting (members, not locals, so a guard-page
   // longjmp cannot clobber them): wire instructions retired by completed
   // segments of the current Run, and the pc where the running straight-line
-  // segment of the top frame began.
+  // segment of the top frame began. The dispatch loop updates both at every
+  // segment flush (taken branch, call, return) and writes block_start_pc_
+  // through from its register copy, so they are current at any trap,
+  // including a SIGSEGV that leaves the loop without a spill.
   uint64_t retired_in_call_ = 0;
   uint32_t block_start_pc_ = 0;
 };

@@ -115,6 +115,33 @@ TEST(SimClockTest, NestedSpawnsParticipate) {
   EXPECT_EQ(child_end.load(), 2 * kSecond);
 }
 
+// A long-lived executor (one simulated cluster serving a benchmark) spawns far
+// more activities over its life than the process can hold threads. Finished
+// activities must be reaped as new ones spawn: 40k exceeds what one process
+// can keep unjoined (each holds a mapped stack), so without reaping a Spawn
+// dies with std::system_error (EAGAIN) part-way through.
+TEST(SimExecutorTest, ReapsFinishedActivitiesAcrossManySpawns) {
+  constexpr int kActivities = 40000;
+  constexpr int kBurst = 64;
+  SimExecutor executor;
+  std::atomic<int> ran{0};
+  // The spawner is itself an activity, as in a cluster: it spawns in bursts and
+  // sleeps between them, so each burst can finish before the next starts.
+  executor.Spawn([&] {
+    for (int i = 0; i < kActivities; ++i) {
+      executor.Spawn([&] {
+        executor.clock().SleepFor(kMicrosecond);
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+      if (i % kBurst == kBurst - 1) {
+        executor.clock().SleepFor(2 * kMicrosecond);
+      }
+    }
+  });
+  executor.JoinAll();
+  EXPECT_EQ(ran.load(), kActivities);
+}
+
 TEST(CpuModelTest, UndersubscribedRunsAtFullSpeed) {
   SimExecutor executor;
   HostCpuModel cpu(&executor.clock(), 4);
