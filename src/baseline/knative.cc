@@ -1,7 +1,6 @@
 #include "baseline/knative.h"
 
-#include <chrono>
-#include <thread>
+#include <future>
 
 #include "common/log.h"
 
@@ -44,7 +43,11 @@ void KnativeInstance::Start() {
   executor_->Spawn([this] { DispatchLoop(); });
 }
 
-void KnativeInstance::Stop() { stop_.store(true); }
+void KnativeInstance::Stop() {
+  if (!stop_.exchange(true) && started_.load()) {
+    executor_->clock().Notify(network_->Arrivals(config_.name));  // wake the dispatcher
+  }
+}
 
 void KnativeInstance::Retire() {
   Stop();
@@ -70,10 +73,16 @@ void KnativeInstance::Retire() {
 
 void KnativeInstance::DispatchLoop() {
   SimClock& clock = executor_->clock();
-  while (!stop_.load()) {
-    auto message = network_->Poll(config_.name);
+  WaitQueue& arrivals = network_->Arrivals(config_.name);
+  while (true) {
+    const uint64_t seen = arrivals.Seq();  // before the checks; see FaasmInstance
+    if (stop_.load()) {
+      return;
+    }
+    TimeNs next_delivery = kNoDeadline;
+    auto message = network_->Poll(config_.name, &next_delivery);
     if (!message.has_value()) {
-      clock.SleepFor(200 * kMicrosecond);
+      clock.Park(arrivals, seen, next_delivery);
       continue;
     }
     ByteReader reader(*message);
@@ -114,22 +123,21 @@ Result<std::unique_ptr<Container>> KnativeInstance::AcquireContainer(const std::
 
   // The container daemon creates with limited parallelism.
   SimClock& clock = executor_->clock();
-  clock.WaitFor(
-      [this] {
-        int current = concurrent_cold_starts_.load();
-        while (current < model_.max_concurrent_cold_starts) {
-          if (concurrent_cold_starts_.compare_exchange_weak(current, current + 1)) {
-            return true;
-          }
-        }
-        return false;
-      },
-      1 * kMillisecond);
+  clock.WaitOn(cold_start_slot_freed_, [this] {
+    int current = concurrent_cold_starts_.load();
+    while (current < model_.max_concurrent_cold_starts) {
+      if (concurrent_cold_starts_.compare_exchange_weak(current, current + 1)) {
+        return true;
+      }
+    }
+    return false;
+  });
 
   const TimeNs boot_ns =
       spec.simulated_init_ns > 0 ? model_.python_cold_start_ns : model_.cold_start_ns;
   clock.SleepFor(boot_ns);
   concurrent_cold_starts_.fetch_sub(1);
+  clock.Notify(cold_start_slot_freed_);
 
   Container::Env env;
   env.clock = &clock;
@@ -277,7 +285,9 @@ Status KnativeCluster::RemoveHost(const std::string& name) {
     retired_.insert(index);
   }
   // Drain: in-flight calls finish and the dispatch mailbox empties.
-  executor_.clock().WaitFor([&] {
+  // Mail to the host counts in its load from RouteCall until NotifyDone,
+  // so NotifyDone is the only event that can complete this wait.
+  executor_.clock().WaitOn(pod_done_, [&] {
     const size_t pending = network_->PendingCount(name);
     std::lock_guard<std::mutex> guard(routing_mutex_);
     return pending == 0 && HostLoadLocked(index) == 0;
@@ -319,8 +329,11 @@ std::string KnativeCluster::RouteCall(const std::string& function) {
 }
 
 void KnativeCluster::NotifyDone(const std::string& function, size_t host_index) {
-  std::lock_guard<std::mutex> guard(routing_mutex_);
-  in_flight_[function][host_index] -= 1;
+  {
+    std::lock_guard<std::mutex> guard(routing_mutex_);
+    in_flight_[function][host_index] -= 1;
+  }
+  executor_.clock().Notify(pod_done_);
 }
 
 void KnativeCluster::Shutdown() {
@@ -363,7 +376,10 @@ Result<int> KnativeCluster::Await(const std::string& source, uint64_t call_id) {
   SimClock& clock = executor_.clock();
   const Bytes poll(model_.await_poll_bytes / 2);
   while (!calls_.IsFinished(call_id)) {
-    // Provider-API result polling over HTTP.
+    // Provider-API result polling over HTTP: the modelled client protocol
+    // (ContainerModel::await_poll_*), each poll an accounted round trip.
+    // The interval is part of the baseline's cost model, not a simulator
+    // wait, so this is not a Park.
     auto response = network_->Call(source, "ingress", poll);
     if (!response.ok()) {
       return response.status();
@@ -378,15 +394,15 @@ Result<int> KnativeCluster::Await(const std::string& source, uint64_t call_id) {
 }
 
 void KnativeCluster::Run(const std::function<void(Client&)>& driver) {
-  std::atomic<bool> done{false};
-  executor_.Spawn([this, &driver, &done] {
+  // The activity co-owns the promise (see FaasmCluster::Run).
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  executor_.Spawn([this, &driver, done] {
     Client client{this};
     driver(client);
-    done.store(true);
+    done->set_value();
   });
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  finished.wait();
 }
 
 double KnativeCluster::billable_gb_seconds() const {

@@ -143,6 +143,8 @@ class KnativeInstance {
   int total_containers_ = 0;
 
   std::atomic<int> concurrent_cold_starts_{0};
+  // Notified when a cold start gives its daemon slot back.
+  WaitQueue cold_start_slot_freed_;
   std::atomic<size_t> cold_starts_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> started_{false};
@@ -237,6 +239,8 @@ class KnativeCluster {
   int next_host_index_ = 0;
   mutable std::mutex routing_mutex_;
   std::map<std::string, std::map<size_t, int>> in_flight_;  // fn -> host -> count
+  // Notified by NotifyDone (RemoveHost's drain waits on it).
+  WaitQueue pod_done_;
   bool shut_down_ = false;
 };
 

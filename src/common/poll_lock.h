@@ -1,8 +1,9 @@
-// PollLock: a readers/writer lock whose blocked acquirers poll through a
-// Clock instead of parking in the kernel. Under the virtual-time executor a
+// PollLock: a readers/writer lock whose blocked acquirers park on a Clock
+// wait queue instead of in the kernel. Under the virtual-time executor a
 // thread blocked in a plain mutex would still count as runnable and stall the
 // clock; PollLock keeps every wait visible to the clock, so the same state
-// code runs identically under RealClock and SimClock.
+// code runs identically under RealClock and SimClock. A release notifies the
+// queue only when someone waits, so an uncontended lock never touches it.
 //
 // The internal mutex is held only for counter updates — never across waits.
 #ifndef FAASM_COMMON_POLL_LOCK_H_
@@ -16,8 +17,7 @@ namespace faasm {
 
 class PollLock {
  public:
-  explicit PollLock(Clock* clock, TimeNs poll_quantum_ns = 10 * kMicrosecond)
-      : clock_(clock), quantum_(poll_quantum_ns) {}
+  explicit PollLock(Clock* clock) : clock_(clock) {}
 
   bool TryLockRead() {
     std::lock_guard<std::mutex> guard(mutex_);
@@ -38,25 +38,39 @@ class PollLock {
   }
 
   void LockRead() {
-    while (!TryLockRead()) {
-      clock_->SleepFor(quantum_);
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    WaitLocked(lock, [this] { return !writer_; });
+    ++readers_;
   }
 
   void LockWrite() {
-    while (!TryLockWrite()) {
-      clock_->SleepFor(quantum_);
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    WaitLocked(lock, [this] { return !writer_ && readers_ == 0; });
+    writer_ = true;
   }
 
   void UnlockRead() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    --readers_;
+    bool wake;
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      --readers_;
+      wake = readers_ == 0 && waiters_ > 0;
+    }
+    if (wake) {
+      clock_->Notify(released_);
+    }
   }
 
   void UnlockWrite() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    writer_ = false;
+    bool wake;
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      writer_ = false;
+      wake = waiters_ > 0;
+    }
+    if (wake) {
+      clock_->Notify(released_);
+    }
   }
 
   // RAII helpers.
@@ -83,9 +97,28 @@ class PollLock {
   };
 
  private:
+  // Parks until `free` holds under `lock`. The queue's sequence number is
+  // read under the lock the releaser updates the state under, so a release
+  // between the read and Park still wakes this waiter.
+  template <typename Free>
+  void WaitLocked(std::unique_lock<std::mutex>& lock, Free free) {
+    if (free()) {
+      return;
+    }
+    ++waiters_;
+    do {
+      const uint64_t seen = released_.Seq();
+      lock.unlock();
+      clock_->Park(released_, seen);
+      lock.lock();
+    } while (!free());
+    --waiters_;
+  }
+
   Clock* clock_;
-  TimeNs quantum_;
+  WaitQueue released_;
   std::mutex mutex_;
+  int waiters_ = 0;
   int readers_ = 0;
   bool writer_ = false;
 };

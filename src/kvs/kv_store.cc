@@ -14,16 +14,28 @@ bool RangeIsSane(size_t offset, size_t len) {
   return offset <= kMaxValueBytes && len <= kMaxValueBytes - offset;
 }
 
+}  // namespace
+
 // Counts a mutation as in flight from store entry until the update hook
 // returned, which is the window the failover quiesce barrier waits out.
-struct MutationScope {
-  explicit MutationScope(std::atomic<int>& inflight) : inflight_(inflight) {
-    inflight_.fetch_add(1, std::memory_order_relaxed);
+struct KvStore::MutationScope {
+  explicit MutationScope(KvStore& store) : store_(store) { store_.inflight_.fetch_add(1); }
+  ~MutationScope() {
+    if (store_.inflight_.fetch_sub(1) == 1) {
+      // seq_cst against AwaitQuiescent's store-then-check: either it sees
+      // zero, or this load sees its clock.
+      if (Clock* clock = store_.quiesce_clock_.load()) {
+        clock->Notify(store_.quiesced_);
+      }
+    }
   }
-  ~MutationScope() { inflight_.fetch_sub(1, std::memory_order_relaxed); }
-  std::atomic<int>& inflight_;
+  KvStore& store_;
 };
-}  // namespace
+
+void KvStore::AwaitQuiescent(Clock& clock) {
+  quiesce_clock_.store(&clock);
+  clock.WaitOn(quiesced_, [this] { return inflight_.load() == 0; });
+}
 
 int& KvStore::HookPause::Depth() {
   static thread_local int depth = 0;
@@ -141,7 +153,7 @@ bool KvStore::ShouldForward(const KvsBatchOp& op, const KvsBatchResult& result) 
 }
 
 KvsBatchResult KvStore::MutateOne(const KvsBatchOp& op) {
-  MutationScope scope(inflight_);
+  MutationScope scope(*this);
   const bool forwarding = ForwardingActive();
   KvsBatchResult result;
   uint64_t seq = 0;
@@ -479,7 +491,7 @@ KvsBatchResult KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op) {
 }
 
 std::vector<KvsBatchResult> KvStore::ExecuteBatch(const std::vector<const KvsBatchOp*>& ops) {
-  MutationScope scope(inflight_);
+  MutationScope scope(*this);
   const bool forwarding = ForwardingActive();
   std::vector<KvsBatchResult> results(ops.size());
   // Per-op apply sequences, captured under each bucket's shard mutex

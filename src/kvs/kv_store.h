@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/clock.h"
 #include "common/status.h"
 
 namespace faasm {
@@ -272,10 +273,11 @@ class KvStore {
   // not synchronised against in-flight ops. Lock acquisitions that did not
   // acquire (flag=false) changed nothing and are not forwarded.
   void SetUpdateHook(UpdateHook hook) { hook_ = std::move(hook); }
-  // Ops currently between "entered the store" and "hook returned". The
-  // failover quiesce barrier waits for 0: with the dead store fenced, zero
-  // here means every op that will ever be acked has finished forwarding.
-  int inflight_mutations() const { return inflight_.load(); }
+  // Parks the caller on `clock` until no op is between "entered the store"
+  // and "hook returned". The failover quiesce barrier: with the dead store
+  // fenced, that means every op that will ever be acked has finished
+  // forwarding. The op that leaves last wakes the waiter.
+  void AwaitQuiescent(Clock& clock);
 
   // The apply sequence of the last FORWARDED mutation on `key` in this
   // store's sequence space (0 = never mutated with forwarding active, or
@@ -385,8 +387,12 @@ class KvStore {
   // Store-wide apply sequence, incremented under the mutating op's shard
   // mutex, so per-key ordering is exact. Starts at 1 (0 = "no floor").
   std::atomic<uint64_t> mutation_seq_{0};
-  // See inflight_mutations().
-  mutable std::atomic<int> inflight_{0};
+  // Counts an op in flight for its scope (see AwaitQuiescent).
+  struct MutationScope;
+  std::atomic<int> inflight_{0};
+  // Set by AwaitQuiescent; the last op to leave notifies `quiesced_` on it.
+  std::atomic<Clock*> quiesce_clock_{nullptr};
+  WaitQueue quiesced_;
 };
 
 }  // namespace faasm

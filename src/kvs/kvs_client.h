@@ -268,6 +268,7 @@ class BatchHandle {
     std::mutex mutex;
     int outstanding = 0;
     Status status = OkStatus();  // first op error, sticky
+    WaitQueue finished;          // notified when outstanding reaches 0
   };
 
   std::shared_ptr<Shared> shared_;

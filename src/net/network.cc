@@ -68,6 +68,7 @@ Result<Bytes> InProcNetwork::Call(const std::string& from, const std::string& to
 
 Status InProcNetwork::Send(const std::string& from, const std::string& to, Bytes message) {
   const size_t overhead = config_.per_message_overhead_bytes;
+  Mailbox* mailbox = nullptr;
   {
     std::lock_guard<std::mutex> guard(mutex_);
     if (endpoints_.count(to) == 0) {
@@ -76,27 +77,66 @@ Status InProcNetwork::Send(const std::string& from, const std::string& to, Bytes
       return Unavailable("no endpoint registered: " + to);
     }
     AccountLocked(from, to, message.size() + overhead);
-    mailboxes_[to].push_back(std::move(message));
+    // Stamped under the lock, so stamps never decrease along a mailbox.
+    const TimeNs deliver_at =
+        clock_->Now() + (config_.charge_latency ? config_.base_latency_ns : 0);
+    Mailbox& box = mailboxes_[to];
+    if (box.letters.empty()) {
+      mailbox = &box;  // a receiver may be parked with no deadline
+    }
+    box.letters.push_back(Mailbox::Letter{deliver_at, std::move(message)});
+  }
+  if (mailbox != nullptr) {
+    clock_->Notify(mailbox->arrivals);
   }
   ChargeTransfer(0);  // latency only; payload + envelope accounted above
   return OkStatus();
 }
 
-std::optional<Bytes> InProcNetwork::Poll(const std::string& name) {
+std::optional<Bytes> InProcNetwork::Poll(const std::string& name, TimeNs* next_delivery) {
+  const TimeNs now = clock_->Now();
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = mailboxes_.find(name);
-  if (it == mailboxes_.end() || it->second.empty()) {
+  if (it == mailboxes_.end() || it->second.letters.empty()) {
+    if (next_delivery != nullptr) {
+      *next_delivery = kNoDeadline;
+    }
     return std::nullopt;
   }
-  Bytes message = std::move(it->second.front());
-  it->second.pop_front();
+  std::deque<Mailbox::Letter>& letters = it->second.letters;
+  if (letters.front().deliver_at > now) {
+    if (next_delivery != nullptr) {
+      *next_delivery = letters.front().deliver_at;
+    }
+    return std::nullopt;
+  }
+  Bytes message = std::move(letters.front().message);
+  letters.pop_front();
   return message;
 }
 
 size_t InProcNetwork::PendingCount(const std::string& name) const {
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = mailboxes_.find(name);
-  return it == mailboxes_.end() ? 0 : it->second.size();
+  return it == mailboxes_.end() ? 0 : it->second.letters.size();
+}
+
+std::vector<Bytes> InProcNetwork::DrainMailbox(const std::string& name) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  std::vector<Bytes> out;
+  auto it = mailboxes_.find(name);
+  if (it != mailboxes_.end()) {
+    for (Mailbox::Letter& letter : it->second.letters) {
+      out.push_back(std::move(letter.message));
+    }
+    it->second.letters.clear();
+  }
+  return out;
+}
+
+WaitQueue& InProcNetwork::Arrivals(const std::string& name) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  return mailboxes_[name].arrivals;
 }
 
 uint64_t InProcNetwork::total_bytes() const {

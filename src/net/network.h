@@ -7,6 +7,15 @@
 //
 // RPC handlers execute synchronously on the caller's thread; services
 // (KVS, file server) are internally thread safe.
+//
+// Mail is delivery-stamped: Send stamps each message deliver_at = now +
+// base_latency_ns (now, when latency is not charged) and Poll hands out only
+// mail whose stamp has passed, so a receiver never starts work before the
+// message could have crossed the wire. Mail sent but not yet delivered is
+// "in flight": PendingCount counts it (the drain barrier must not retire a
+// host with mail on the wire) and DrainMailbox returns it. A receiver waits
+// by parking on the mailbox's Arrivals queue with the next delivery time as
+// its deadline.
 #ifndef FAASM_NET_NETWORK_H_
 #define FAASM_NET_NETWORK_H_
 
@@ -16,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -69,10 +79,23 @@ class InProcNetwork {
   // shared towards a host that already left the cluster bounces to the
   // sender instead of rotting in a dead mailbox.
   Status Send(const std::string& from, const std::string& to, Bytes message);
-  std::optional<Bytes> Poll(const std::string& name);
-  // Messages queued for `name` but not yet polled (drain barrier: a host may
-  // only retire once its mailbox is empty AND its in-flight calls finished).
+  // The oldest message delivered to `name` by now, FIFO. When none is,
+  // `next_delivery` (if given) receives the delivery time of the oldest
+  // in-flight message, or kNoDeadline when the mailbox is empty.
+  std::optional<Bytes> Poll(const std::string& name, TimeNs* next_delivery = nullptr);
+  // Messages queued for `name` but not yet polled, in flight or delivered
+  // (drain barrier: a host may only retire once its mailbox is empty AND its
+  // in-flight calls finished).
   size_t PendingCount(const std::string& name) const;
+  // Takes every message queued for `name`, delivered or still in flight
+  // (a crashed host's abandoned mail).
+  std::vector<Bytes> DrainMailbox(const std::string& name);
+  // Notified when mail is sent into an empty mailbox for `name`. A receiver
+  // that saw the mailbox non-empty parks until the next delivery time
+  // instead: later mail never lands before the mail already queued. The
+  // receiver's owner may notify it too (to stop it). The queue lives as long
+  // as the network.
+  WaitQueue& Arrivals(const std::string& name);
 
   // --- Accounting -------------------------------------------------------------
   uint64_t total_bytes() const;
@@ -91,7 +114,16 @@ class InProcNetwork {
 
   mutable std::mutex mutex_;
   std::map<std::string, RpcHandler> endpoints_;
-  std::map<std::string, std::deque<Bytes>> mailboxes_;
+  struct Mailbox {
+    struct Letter {
+      TimeNs deliver_at;
+      Bytes message;
+    };
+    std::deque<Letter> letters;  // deliver_at is non-decreasing front to back
+    WaitQueue arrivals;
+  };
+  // Never erased: Arrivals() hands out references into it.
+  std::map<std::string, Mailbox> mailboxes_;
   std::map<std::string, EndpointStats> stats_;
   uint64_t total_bytes_ = 0;
 };

@@ -37,28 +37,34 @@ Status CallTable::MarkRunning(uint64_t id, const std::string& host, bool cold_st
 }
 
 Status CallTable::Complete(uint64_t id, int return_code, Bytes output) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto it = calls_.find(id);
+    if (it == calls_.end()) {
+      return NotFound("no call #" + std::to_string(id));
+    }
+    it->second.state = CallState::kDone;
+    it->second.return_code = return_code;
+    it->second.output = std::move(output);
+    it->second.finished_at = clock_->Now();
   }
-  it->second.state = CallState::kDone;
-  it->second.return_code = return_code;
-  it->second.output = std::move(output);
-  it->second.finished_at = clock_->Now();
+  clock_->Notify(FinishQueue(id));
   return OkStatus();
 }
 
 Status CallTable::Fail(uint64_t id, const std::string& error) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = calls_.find(id);
-  if (it == calls_.end()) {
-    return NotFound("no call #" + std::to_string(id));
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto it = calls_.find(id);
+    if (it == calls_.end()) {
+      return NotFound("no call #" + std::to_string(id));
+    }
+    it->second.state = CallState::kFailed;
+    it->second.error = error;
+    it->second.return_code = -1;
+    it->second.finished_at = clock_->Now();
   }
-  it->second.state = CallState::kFailed;
-  it->second.error = error;
-  it->second.return_code = -1;
-  it->second.finished_at = clock_->Now();
+  clock_->Notify(FinishQueue(id));
   return OkStatus();
 }
 
@@ -67,6 +73,15 @@ bool CallTable::IsFinished(uint64_t id) const {
   auto it = calls_.find(id);
   return it != calls_.end() &&
          (it->second.state == CallState::kDone || it->second.state == CallState::kFailed);
+}
+
+void CallTable::AwaitFinished(uint64_t id) {
+  clock_->WaitOn(FinishQueue(id), [this, id] {
+    std::lock_guard<std::mutex> guard(mutex_);
+    auto it = calls_.find(id);
+    return it == calls_.end() || it->second.state == CallState::kDone ||
+           it->second.state == CallState::kFailed;
+  });
 }
 
 Result<CallRecord> CallTable::Get(uint64_t id) const {

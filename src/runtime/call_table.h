@@ -4,6 +4,7 @@
 #ifndef FAASM_RUNTIME_CALL_TABLE_H_
 #define FAASM_RUNTIME_CALL_TABLE_H_
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -47,6 +48,10 @@ class CallTable {
   Status Fail(uint64_t id, const std::string& error);
 
   bool IsFinished(uint64_t id) const;
+  // Blocks the calling activity until call `id` is done or failed (returns
+  // at once for an unknown id). Complete and Fail wake it at the virtual
+  // instant they record finished_at.
+  void AwaitFinished(uint64_t id);
   Result<CallRecord> Get(uint64_t id) const;  // copies the record
   Result<Bytes> Output(uint64_t id) const;
 
@@ -54,7 +59,13 @@ class CallTable {
   size_t cold_start_count() const;
 
  private:
+  // Completion wait queues, striped by call id: an awaiter wakes for its own
+  // call and the few sharing its stripe, never for every call in the table.
+  static constexpr size_t kFinishQueues = 64;
+  WaitQueue& FinishQueue(uint64_t id) { return finish_queues_[id % kFinishQueues]; }
+
   Clock* clock_;
+  std::array<WaitQueue, kFinishQueues> finish_queues_;
   mutable std::mutex mutex_;
   std::map<uint64_t, CallRecord> calls_;
   std::atomic<uint64_t> next_id_{1};

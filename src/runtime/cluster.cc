@@ -1,7 +1,6 @@
 #include "runtime/cluster.h"
 
-#include <chrono>
-#include <thread>
+#include <future>
 
 namespace faasm {
 
@@ -232,7 +231,7 @@ Status FaasmCluster::RemoveHost(const std::string& name) {
   std::unique_ptr<FaasmInstance> host = std::move(*it);
   hosts_.erase(it);
   host->BeginDrain();
-  executor_.clock().WaitFor([&] { return host->Drained(); });
+  host->AwaitDrained();
 
   // Hand every key the departing shard masters to the survivors, flipping
   // the epoch. Ops racing the handoff bounce (kWrongMaster) and retry
@@ -265,7 +264,7 @@ Status FaasmCluster::RemoveHost(const std::string& name) {
   // After CloseIntake new sends fail fast at the sender, so the mailbox
   // can only shrink.
   host->CloseIntake();
-  executor_.clock().WaitFor([&] { return host->Drained(); });
+  host->AwaitDrained();
 
   // Retire: the instance object stays alive (inert) for pending Awaits and
   // cumulative metrics until Shutdown, but its memory goes back to the
@@ -398,7 +397,7 @@ FailoverStats FaasmCluster::RecoverDeadShardLocked(const std::string& name) {
     // Quiesce: mutations that passed the fence before it went up finish
     // under the shard mutexes; wait them out so the promotion below reads a
     // stable store.
-    executor_.clock().WaitFor([&] { return dead_store->inflight_mutations() == 0; });
+    dead_store->AwaitQuiescent(executor_.clock());
 
     if (replication_ != nullptr) {
       // Promote every key the dead shard mastered from a surviving backup
@@ -446,15 +445,16 @@ void FaasmCluster::Shutdown() {
 }
 
 void FaasmCluster::Run(const std::function<void(Frontend&)>& driver) {
-  std::atomic<bool> done{false};
-  executor_.Spawn([this, &driver, &done] {
+  // The activity co-owns the promise: set_value may still be returning when
+  // this thread wakes and leaves.
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  executor_.Spawn([this, &driver, done] {
     Frontend frontend(&hosts_, &calls_);
     driver(frontend);
-    done.store(true);
+    done->set_value();
   });
-  while (!done.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  finished.wait();
 }
 
 double FaasmCluster::billable_gb_seconds() const {

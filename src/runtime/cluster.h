@@ -76,7 +76,8 @@ struct ClusterConfig {
   size_t host_memory_bytes = size_t{16} * 1024 * 1024 * 1024;
   int max_concurrent_per_host = 64;
   StateTier state_tier = StateTier::kSharded;
-  // Scheduler warm-set cache TTL (see HostConfig::warm_set_ttl_ns).
+  // Age after which a host refreshes its cached warm-set view, off the call
+  // path (see HostConfig::warm_set_ttl_ns).
   TimeNs warm_set_ttl_ns = 2 * kMillisecond;
   // Batched state-op protocol (see HostConfig::batch_state_ops). Off is the
   // one-RPC-per-op baseline kept for the --batch=off ablation.
@@ -199,8 +200,9 @@ class FaasmCluster {
   FaasmInstance& host(size_t index) { return *hosts_[index]; }
   size_t host_count() const { return hosts_.size(); }
 
-  // Runs `driver` as a simulated client activity and blocks (in real time)
-  // until it completes. Virtual time advances as needed.
+  // Runs `driver` as a simulated client activity and blocks (in real time,
+  // on the activity's completion) until it returns. Virtual time advances
+  // as needed.
   void Run(const std::function<void(Frontend&)>& driver);
 
   // --- Elastic membership ------------------------------------------------------
@@ -310,9 +312,9 @@ class FaasmCluster {
   std::unique_ptr<FailureDetector> detector_;
   // Serialises every membership-changing flow — AddHost, RemoveHost,
   // KillHost, CrashHost and the detector's HandleConfirmedDeath — against
-  // each other. A PollLock, not a std::mutex: these flows sleep virtual time
-  // inside (drain waits, quiesce waits, failover streams), and a registered
-  // thread parked in a kernel mutex would stall the virtual clock.
+  // each other. A PollLock, not a std::mutex: these flows wait in virtual
+  // time inside (drain waits, quiesce waits, failover streams), and a
+  // registered thread blocked in a kernel mutex would stall the virtual clock.
   PollLock membership_lock_{&executor_.clock()};
   // Host names whose crash recovery already ran (oracle or detection),
   // guarded by membership_lock_: makes the two recovery paths idempotent

@@ -87,7 +87,11 @@ void FaasmInstance::Start() {
   }
 }
 
-void FaasmInstance::Stop() { stop_.store(true); }
+void FaasmInstance::Stop() {
+  if (!stop_.exchange(true) && started_.load()) {
+    executor_->clock().Notify(network_->Arrivals(config_.name));  // wake the dispatcher
+  }
+}
 
 void FaasmInstance::HeartbeatLoop() {
   // Publish liveness until the host stops. Send (not Call): a heartbeat is
@@ -186,6 +190,15 @@ bool FaasmInstance::Drained() const {
          running_calls_.load() == 0;
 }
 
+void FaasmInstance::AwaitDrained() {
+  executor_->clock().WaitOn(idle_, [this] { return Drained(); });
+}
+
+void FaasmInstance::Release(std::atomic<int>& counter) {
+  counter.fetch_sub(1);
+  executor_->clock().Notify(idle_);
+}
+
 void FaasmInstance::ReleaseRetiredMemory() {
   {
     std::lock_guard<std::mutex> guard(pools_mutex_);
@@ -207,7 +220,7 @@ void FaasmInstance::Kill() {
   // Crash semantics: everything vanishes at once, with no handoff. Order
   // matters only in that stop_/draining_ go first, so any zombie activity
   // that wakes after this observes a dead host and stops re-advertising.
-  stop_.store(true);
+  Stop();
   draining_.store(true);
   network_->UnregisterEndpoint(config_.name);
   if (shard_server_ != nullptr) {
@@ -223,8 +236,8 @@ void FaasmInstance::Kill() {
 }
 
 void FaasmInstance::FailAbandonedMail() {
-  while (auto message = network_->Poll(config_.name)) {
-    auto call = DecodeSharedCall(*message);
+  for (const Bytes& message : network_->DrainMailbox(config_.name)) {
+    auto call = DecodeSharedCall(message);
     if (call.ok()) {
       (void)calls_->Fail(call.value().id,
                          "host '" + config_.name + "' crashed before executing call");
@@ -243,16 +256,26 @@ void FaasmInstance::CloseIntake() {
 
 void FaasmInstance::DispatchLoop() {
   SimClock& clock = executor_->clock();
-  while (!stop_.load()) {
+  WaitQueue& arrivals = network_->Arrivals(config_.name);
+  while (true) {
+    // Read before the checks it guards: a Send into the empty mailbox or a
+    // Stop that lands after them bumps it, and Park returns at once.
+    const uint64_t seen = arrivals.Seq();
+    if (stop_.load()) {
+      return;
+    }
     // accepting_ covers the gap between a message leaving the mailbox
     // (PendingCount drops) and its call being counted in running_calls_:
     // without it a concurrent drain barrier could observe both counters at
     // zero and retire the host around a just-accepted call.
     accepting_.fetch_add(1);
-    auto message = network_->Poll(config_.name);
+    TimeNs next_delivery = kNoDeadline;
+    auto message = network_->Poll(config_.name, &next_delivery);
     if (!message.has_value()) {
-      accepting_.fetch_sub(1);
-      clock.SleepFor(200 * kMicrosecond);
+      Release(accepting_);
+      // Sleep until the oldest in-flight message lands, or until mail is
+      // sent into the empty mailbox.
+      clock.Park(arrivals, seen, next_delivery);
       continue;
     }
     auto call = DecodeSharedCall(*message);
@@ -261,7 +284,7 @@ void FaasmInstance::DispatchLoop() {
     } else {
       LOG_ERROR << config_.name << ": bad shared-call message: " << call.status().ToString();
     }
-    accepting_.fetch_sub(1);
+    Release(accepting_);
   }
 }
 
@@ -378,10 +401,27 @@ Result<std::vector<std::string>> FaasmInstance::WarmMembers(const std::string& f
   const TimeNs ttl = config_.warm_set_ttl_ns;
   const TimeNs now = executor_->clock().Now();
   if (ttl > 0) {
-    std::lock_guard<std::mutex> guard(warm_cache_mutex_);
-    auto it = warm_cache_.find(function);
-    if (it != warm_cache_.end() && now - it->second.fetched_at <= ttl) {
-      return it->second.hosts;
+    std::vector<std::string> cached;
+    bool found = false;
+    bool refresh = false;
+    {
+      std::lock_guard<std::mutex> guard(warm_cache_mutex_);
+      auto it = warm_cache_.find(function);
+      if (it != warm_cache_.end()) {
+        found = true;
+        cached = it->second.hosts;
+        refresh = now - it->second.fetched_at > ttl && warm_refreshing_.insert(function).second;
+      }
+    }
+    if (found) {
+      // A stale view still decides this call: stale views are tolerated
+      // anyway (a dead target fails Send fast and the call runs here), and
+      // refetching first would put a SetMembers round trip on the call's
+      // critical path.
+      if (refresh) {
+        executor_->Spawn([this, function] { RefreshWarmMembers(function); });
+      }
+      return cached;
     }
   }
   FAASM_ASSIGN_OR_RETURN(auto hosts, kvs_.SetMembers("warm:" + function));
@@ -395,6 +435,23 @@ Result<std::vector<std::string>> FaasmInstance::WarmMembers(const std::string& f
     }
   }
   return hosts;
+}
+
+void FaasmInstance::RefreshWarmMembers(const std::string& function) {
+  const TimeNs started = executor_->clock().Now();
+  auto hosts = kvs_.SetMembers("warm:" + function);
+  std::lock_guard<std::mutex> guard(warm_cache_mutex_);
+  warm_refreshing_.erase(function);
+  auto it = warm_cache_.find(function);
+  // An invalidated view stays gone (this host changed the set after the
+  // refetch may have read it), and a view fetched since stays: it is newer.
+  if (!hosts.ok() || it == warm_cache_.end() || it->second.fetched_at > started) {
+    return;
+  }
+  it->second = CachedWarmSet{hosts.value(), started};
+  if (!hosts.value().empty()) {
+    warm_ever_.insert(function);
+  }
 }
 
 void FaasmInstance::InvalidateWarmCache(const std::string& function) {
@@ -443,7 +500,7 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     auto faaslet = AcquireFaaslet(function, &cold);
     if (!faaslet.ok()) {
       (void)calls_->Fail(call_id, faaslet.status().ToString());
-      running_calls_.fetch_sub(1);
+      Release(running_calls_);
       return;
     }
     (void)calls_->MarkRunning(call_id, config_.name, cold);
@@ -496,7 +553,7 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
       (void)calls_->Fail(call_id, code.status().ToString());
     }
     executed_calls_.fetch_add(1);
-    running_calls_.fetch_sub(1);
+    Release(running_calls_);
     UpdateWarmAdvertisement();
   });
 }
@@ -610,8 +667,7 @@ void FaasmInstance::ReleaseFaaslet(std::unique_ptr<Faaslet> faaslet) {
 }
 
 Result<int> FaasmInstance::Await(uint64_t call_id) {
-  SimClock& clock = executor_->clock();
-  clock.WaitFor([this, call_id] { return calls_->IsFinished(call_id); }, 200 * kMicrosecond);
+  calls_->AwaitFinished(call_id);
   FAASM_ASSIGN_OR_RETURN(CallRecord record, calls_->Get(call_id));
   if (record.state == CallState::kFailed) {
     return Internal("call #" + std::to_string(call_id) + " failed: " + record.error);

@@ -30,10 +30,12 @@ struct HostConfig {
   int max_concurrent_calls = 64;
   // Execution overhead charged per call (runtime dispatch, thread wake-up).
   TimeNs per_call_overhead_ns = 50 * kMicrosecond;
-  // How long a fetched warm-set view may serve scheduling decisions before
-  // it is refetched from the global tier (virtual time). Steady-state
-  // submits hit this cache instead of paying a SetMembers round trip per
-  // call; 0 disables caching (every submit refetches).
+  // Age (virtual time) after which a cached warm-set view is refreshed
+  // from the global tier. The refresh runs off the call path: a decision
+  // that finds the view older than this still schedules from it and starts
+  // a background refetch (at most one per function in flight); only a
+  // function with no cached view pays a synchronous SetMembers round trip.
+  // 0 disables caching (every submit fetches synchronously).
   TimeNs warm_set_ttl_ns = 2 * kMillisecond;
   // Batched state-op protocol (kvs_client.h kBatch): state pushes and the
   // host's warm-set updates group into per-endpoint RPC batches, pipelined
@@ -109,9 +111,12 @@ class FaasmInstance {
   // Reverts a drain whose removal was abandoned (failed migration): the
   // host re-advertises its warm pools and serves normally again.
   void CancelDrain();
-  // True once nothing is running and the work-sharing mailbox is empty; the
-  // host can then be retired without losing an acknowledged call.
+  // True once nothing is running and the work-sharing mailbox is empty
+  // (in-flight mail included); the host can then be retired without losing
+  // an acknowledged call.
   bool Drained() const;
+  // Parks the caller until Drained() holds.
+  void AwaitDrained();
   // Unregisters the host endpoint: late work-sharing sends now fail fast at
   // the sender (which falls back to executing locally), while the still-
   // running dispatcher polls out whatever the mailbox already holds.
@@ -136,8 +141,9 @@ class FaasmInstance {
   // another thread must not have its server destroyed under it.
   void Kill();
   // Fails every call still sitting in the killed host's mailbox (accepted by
-  // Submit, never executed): the frontend's Await gets an Internal error
-  // instead of hanging forever. Call after Kill().
+  // Submit, never executed), including mail still in flight to it: the
+  // frontend's Await gets an Internal error instead of hanging forever. Call
+  // after Kill().
   void FailAbandonedMail();
 
   // Submits a call (from a frontend or a chained call on this host) and
@@ -195,12 +201,19 @@ class FaasmInstance {
   // invalidates the affected warm-cache entries.
   void UpdateWarmSets(const std::vector<std::string>& functions, bool advertise);
 
-  // Warm-set view for `function`, served from the short-TTL cache when
-  // fresh; refetched from the global tier otherwise.
+  // Warm-set view for `function`: the cached view when there is one
+  // (starting a background refresh once it is older than the TTL), else
+  // fetched from the global tier.
   Result<std::vector<std::string>> WarmMembers(const std::string& function);
+  // The background refresh WarmMembers spawns: refetches the view and
+  // installs it unless this host invalidated or refetched it meanwhile.
+  void RefreshWarmMembers(const std::string& function);
   // Drops the cached view after this host mutates the warm set, so its own
   // membership changes are visible to its next scheduling decision.
   void InvalidateWarmCache(const std::string& function);
+
+  // Counts down a drain-barrier counter and wakes AwaitDrained.
+  void Release(std::atomic<int>& counter);
 
   FaasletEnv MakeEnv();
   void SyncTierAccounting();
@@ -234,6 +247,8 @@ class FaasmInstance {
   // for such a function means hosts withdrew (saturation backpressure), so
   // the scheduler must not keep funnelling cold starts at the state master.
   std::set<std::string> warm_ever_;
+  // Functions whose warm-set refresh is in flight (at most one each).
+  std::set<std::string> warm_refreshing_;
 
   std::atomic<int> running_calls_{0};
   // Dispatcher is between "message left the mailbox" and "call counted in
@@ -247,6 +262,8 @@ class FaasmInstance {
   std::atomic<bool> stop_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> heartbeats_suppressed_{false};
+  // Notified whenever accepting_ or running_calls_ counts down.
+  WaitQueue idle_;
   Rng share_rng_;
 };
 

@@ -26,51 +26,103 @@ void SimClock::SleepFor(TimeNs duration_ns) {
     return;
   }
   std::unique_lock<std::mutex> lock(mutex_);
-  SleepUntilLockedImpl(lock, now_ + duration_ns);
+  Waiter waiter;
+  waiter.deadline = now_ + duration_ns;
+  BlockLocked(lock, waiter);
 }
 
 void SimClock::SleepUntil(TimeNs deadline_ns) {
   std::unique_lock<std::mutex> lock(mutex_);
-  SleepUntilLockedImpl(lock, deadline_ns);
-}
-
-void SimClock::SleepUntilLockedImpl(std::unique_lock<std::mutex>& lock, TimeNs deadline_ns) {
   if (deadline_ns <= now_) {
     return;
   }
   Waiter waiter;
   waiter.deadline = deadline_ns;
+  BlockLocked(lock, waiter);
+}
+
+bool SimClock::Park(WaitQueue& queue, uint64_t seen, TimeNs deadline_ns) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Count ourselves parked BEFORE re-checking the sequence number: a
+  // notifier that bumped it after `seen` either sees the count (and takes
+  // the lock to wake us) or bumped it early enough for this check to fail.
+  queue.parked_.fetch_add(1);
+  const bool notified = queue.seq_.load() != seen;
+  if (notified || deadline_ns <= now_) {
+    queue.parked_.fetch_sub(1);
+    return notified;
+  }
+  Waiter waiter;
+  waiter.deadline = deadline_ns;
+  waiter.queue = &queue;
+  queue.sim_waiters_.push_back(&waiter);
+  BlockLocked(lock, waiter);
+  return waiter.notified;
+}
+
+void SimClock::Notify(WaitQueue& queue) {
+  queue.seq_.fetch_add(1);
+  if (queue.parked_.load() == 0) {
+    return;  // nobody parked; a parker still on its way sees the new seq
+  }
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (queue.sim_waiters_.empty()) {
+    return;
+  }
+  for (Waiter* w : queue.sim_waiters_) {
+    w->notified = true;
+    w->ready = true;
+    ++runnable_;
+    w->cv.notify_one();  // it wakes once we release mutex_, so *w stays valid
+  }
+  queue.parked_.fetch_sub(static_cast<int>(queue.sim_waiters_.size()));
+  queue.sim_waiters_.clear();
+  waiters_.erase(std::remove_if(waiters_.begin(), waiters_.end(),
+                                [](const Waiter* w) { return w->ready; }),
+                 waiters_.end());
+}
+
+void SimClock::BlockLocked(std::unique_lock<std::mutex>& lock, Waiter& waiter) {
   waiters_.push_back(&waiter);
   --runnable_;
   AdvanceIfIdleLocked();
   waiter.cv.wait(lock, [&] { return waiter.ready; });
 }
 
-void SimClock::AdvanceIfIdleLocked() {
-  while (runnable_ == 0 && !waiters_.empty()) {
-    TimeNs min_deadline = INT64_MAX;
-    for (Waiter* w : waiters_) {
-      min_deadline = std::min(min_deadline, w->deadline);
-    }
-    if (min_deadline == INT64_MAX) {
-      return;  // all threads blocked outside the clock; nothing to advance
-    }
-    now_ = std::max(now_, min_deadline);
-    // Wake every waiter whose deadline has arrived.
-    std::vector<Waiter*> remaining;
-    remaining.reserve(waiters_.size());
-    for (Waiter* w : waiters_) {
-      if (w->deadline <= now_) {
-        w->ready = true;
-        ++runnable_;
-        w->cv.notify_one();
-      } else {
-        remaining.push_back(w);
-      }
-    }
-    waiters_.swap(remaining);
-    return;  // woke at least one thread
+void SimClock::WakeLocked(Waiter& waiter) {
+  waiter.ready = true;
+  ++runnable_;
+  if (waiter.queue != nullptr) {
+    std::vector<Waiter*>& parked = waiter.queue->sim_waiters_;
+    parked.erase(std::find(parked.begin(), parked.end(), &waiter));
+    waiter.queue->parked_.fetch_sub(1);
   }
+  waiter.cv.notify_one();
+}
+
+void SimClock::AdvanceIfIdleLocked() {
+  if (runnable_ != 0 || waiters_.empty()) {
+    return;
+  }
+  TimeNs min_deadline = kNoDeadline;
+  for (Waiter* w : waiters_) {
+    min_deadline = std::min(min_deadline, w->deadline);
+  }
+  if (min_deadline == kNoDeadline) {
+    return;  // every thread waits for a notify (or outside the clock)
+  }
+  now_ = std::max(now_, min_deadline);
+  // Wake every waiter whose deadline has arrived.
+  std::vector<Waiter*> remaining;
+  remaining.reserve(waiters_.size());
+  for (Waiter* w : waiters_) {
+    if (w->deadline <= now_) {
+      WakeLocked(*w);
+    } else {
+      remaining.push_back(w);
+    }
+  }
+  waiters_.swap(remaining);
 }
 
 bool SimClock::WaitFor(const std::function<bool()>& pred, TimeNs quantum_ns, TimeNs deadline_ns) {

@@ -9,9 +9,14 @@
 // algorithms with modelled network/cold-start delays — wall-clock seconds of
 // paper-scale experiments complete in milliseconds of virtual bookkeeping.
 //
-// Condition-style waits are built by polling with a small virtual quantum,
-// which keeps the executor free of cross-component wake-up plumbing while
-// remaining deterministic.
+// Condition-style waits park instead of polling: a thread waiting for
+// another (a dispatcher on its mailbox, an Await on its call, a lock
+// acquirer) parks on the WaitQueue of the object it waits for, optionally
+// with a virtual deadline, and stops counting as runnable. The owner's
+// Notify(queue) makes exactly that queue's waiters runnable at the current
+// virtual instant; a parked waiter without a deadline never holds the clock
+// back, and one with a deadline wakes exactly at it. No wait on another
+// activity spends virtual time it would not have spent for real.
 #ifndef FAASM_SIM_SIM_CLOCK_H_
 #define FAASM_SIM_SIM_CLOCK_H_
 
@@ -25,6 +30,16 @@
 #include "common/clock.h"
 
 namespace faasm {
+
+// A thread blocked in a SimClock: sleeping until `deadline`, or parked on
+// `queue` (kNoDeadline = until notified).
+struct SimWaiter {
+  TimeNs deadline = kNoDeadline;
+  WaitQueue* queue = nullptr;
+  bool ready = false;
+  bool notified = false;
+  std::condition_variable cv;
+};
 
 class SimClock final : public Clock {
  public:
@@ -56,19 +71,25 @@ class SimClock final : public Clock {
     SimClock& clock_;
   };
 
+  // Clock::Park/Notify (see the header comment). A deadline of kNoDeadline
+  // waits for a notify only.
+  bool Park(WaitQueue& queue, uint64_t seen, TimeNs deadline_ns = kNoDeadline) override;
+  void Notify(WaitQueue& queue) override;
+
   // Polls `pred` every `quantum_ns` of virtual time until it returns true or
-  // `deadline_ns` passes. Returns pred()'s final value.
+  // `deadline_ns` passes. Returns pred()'s final value. For drivers whose
+  // condition has no queue to park on (test and benchmark orchestration);
+  // runtime code waits with WaitOn, which costs no quantum.
   bool WaitFor(const std::function<bool()>& pred, TimeNs quantum_ns = 100 * kMicrosecond,
                TimeNs deadline_ns = INT64_MAX);
 
  private:
-  struct Waiter {
-    TimeNs deadline;
-    bool ready = false;
-    std::condition_variable cv;
-  };
+  using Waiter = SimWaiter;
 
-  void SleepUntilLockedImpl(std::unique_lock<std::mutex>& lock, TimeNs deadline_ns);
+  // Blocks the caller as `waiter` (deadline set) until it is made ready.
+  void BlockLocked(std::unique_lock<std::mutex>& lock, Waiter& waiter);
+  // Makes `waiter` runnable and takes it off its queue (not off waiters_).
+  void WakeLocked(Waiter& waiter);
   void AdvanceIfIdleLocked();
 
   mutable std::mutex mutex_;

@@ -223,7 +223,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   }
   kvs_->EnqueueSetRanges(
       key_, std::move(ranges),
-      [this, region = region_, runs = std::move(runs), ack](const Status& status) {
+      [this, clock = clock_, region = region_, runs = std::move(runs), ack](const Status& status) {
         if (status.ok()) {
           std::lock_guard<std::mutex> guard(pages_mutex_);
           for (const DirtyRun& run : runs) {
@@ -238,6 +238,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
         }
         ack->status = status;
         ack->done.store(true, std::memory_order_release);
+        clock->Notify(ack->acked);
       });
 
   if (kvs_->InBatchScope()) {
@@ -249,9 +250,7 @@ Status StateKeyValue::PushRangesBatched(std::vector<ValueRange> ranges) {
   // op's status (a concurrent flush may have taken the op; wait for its ack
   // rather than trusting the aggregate).
   FAASM_RETURN_IF_ERROR(kvs_->FlushBatch());
-  while (!ack->done.load(std::memory_order_acquire)) {
-    clock_->SleepFor(50 * kMicrosecond);
-  }
+  clock_->WaitOn(ack->acked, [&] { return ack->done.load(std::memory_order_acquire); });
   return ack->status;
 }
 

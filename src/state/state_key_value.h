@@ -240,6 +240,7 @@ class StateKeyValue {
   struct PushAck {
     std::atomic<bool> done{false};
     Status status = OkStatus();  // written before done (release/acquire)
+    WaitQueue acked;             // notified once done is set
   };
 
   // Fetches [offset,len) from the global tier into the replica.

@@ -12,6 +12,18 @@ class ManualClock final : public Clock {
  public:
   TimeNs Now() const override { return now_; }
   void SleepFor(TimeNs duration_ns) override { now_ += duration_ns; }
+  // Single-threaded: nothing can notify a waiter, so a wait ends at its
+  // deadline (or at once, if it has none).
+  bool Park(WaitQueue& queue, uint64_t seen, TimeNs deadline_ns) override {
+    if (queue.Seq() != seen) {
+      return true;
+    }
+    if (deadline_ns != kNoDeadline && deadline_ns > now_) {
+      now_ = deadline_ns;
+    }
+    return false;
+  }
+  void Notify(WaitQueue&) override {}
   void Advance(TimeNs delta_ns) { now_ += delta_ns; }
 
  private:

@@ -80,6 +80,93 @@ TEST(NetworkTest, LatencyChargedToVirtualClock) {
   EXPECT_EQ(elapsed, 4 * kMillisecond);
 }
 
+TEST(NetworkTest, MailIsDeliveredOneLatencyAfterSend) {
+  SimExecutor executor;
+  SimClock& clock = executor.clock();
+  NetworkConfig config;  // base_latency_ns = 100 us
+  InProcNetwork net(&clock, config);
+  net.RegisterEndpoint("rx", [](const Bytes&) { return Bytes{}; });
+  const TimeNs latency = config.base_latency_ns;
+  TimeNs sender_back = -1;
+  size_t pending_in_flight = 0;
+  bool visible_early = true;
+  TimeNs next_delivery = -1;
+  std::optional<Bytes> on_time;
+  {
+    SimClock::Hold hold(clock);
+    executor.Spawn([&] {
+      ASSERT_TRUE(net.Send("tx", "rx", Bytes{42}).ok());
+      sender_back = clock.Now();  // the sender pays the one-way latency
+    });
+    executor.Spawn([&] {
+      clock.SleepUntil(latency - 1);
+      pending_in_flight = net.PendingCount("rx");
+      visible_early = net.Poll("rx", &next_delivery).has_value();
+      clock.SleepUntil(latency);
+      on_time = net.Poll("rx");
+    });
+  }
+  executor.JoinAll();
+  EXPECT_EQ(sender_back, latency);
+  EXPECT_EQ(pending_in_flight, 1u);  // in flight still counts
+  EXPECT_FALSE(visible_early);
+  EXPECT_EQ(next_delivery, latency);
+  ASSERT_TRUE(on_time.has_value());
+  EXPECT_EQ((*on_time)[0], 42);
+  EXPECT_EQ(net.PendingCount("rx"), 0u);
+}
+
+TEST(NetworkTest, ReceiverParkedOnArrivalsWakesAtDelivery) {
+  SimExecutor executor;
+  SimClock& clock = executor.clock();
+  InProcNetwork net(&clock);
+  net.RegisterEndpoint("rx", [](const Bytes&) { return Bytes{}; });
+  TimeNs received_at = -1;
+  int wakes = 0;
+  {
+    SimClock::Hold hold(clock);
+    executor.Spawn([&] {
+      WaitQueue& arrivals = net.Arrivals("rx");
+      while (true) {
+        const uint64_t seen = arrivals.Seq();
+        TimeNs next = kNoDeadline;
+        if (net.Poll("rx", &next).has_value()) {
+          received_at = clock.Now();
+          return;
+        }
+        clock.Park(arrivals, seen, next);
+        ++wakes;
+      }
+    });
+    executor.Spawn([&] {
+      clock.SleepFor(kMillisecond);
+      ASSERT_TRUE(net.Send("tx", "rx", Bytes{1}).ok());
+    });
+  }
+  executor.JoinAll();
+  EXPECT_EQ(received_at, kMillisecond + NetworkConfig{}.base_latency_ns);
+  EXPECT_EQ(wakes, 2);  // once for the send, once at the delivery time
+}
+
+TEST(NetworkTest, DrainMailboxTakesInFlightMail) {
+  SimExecutor executor;
+  InProcNetwork net(&executor.clock());
+  net.RegisterEndpoint("rx", [](const Bytes&) { return Bytes{}; });
+  std::vector<Bytes> drained;
+  {
+    SimClock::Hold hold(executor.clock());
+    executor.Spawn([&] { ASSERT_TRUE(net.Send("tx", "rx", Bytes{5}).ok()); });
+    executor.Spawn([&] {
+      executor.clock().SleepFor(kMicrosecond);  // mid-flight
+      drained = net.DrainMailbox("rx");
+    });
+  }
+  executor.JoinAll();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0][0], 5);
+  EXPECT_EQ(net.PendingCount("rx"), 0u);
+}
+
 TEST(NetworkTest, ResetStatsClears) {
   RealClock clock;
   NetworkConfig config;
