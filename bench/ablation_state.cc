@@ -115,7 +115,7 @@ void PushIntervalAblation(bool tiny, StateTier tier, BenchResults& results) {
                     ? 100.0 * (row.full.network_mb - row.delta.network_mb) / row.full.network_mb
                     : 0.0);
   }
-  std::printf("(delta pushes ship only dirtied weight pages as one batched multi-range\n"
+  std::printf("(delta pushes ship only dirtied 1 KiB weight lines as one batched multi-range\n"
               " write; larger intervals trade weight freshness for traffic either way)\n");
 }
 

@@ -108,8 +108,8 @@ void RegisterHostInterface(Faaslet& faaslet, wasm::MapImportResolver& resolver) 
     FAASM_ASSIGN_OR_RETURN(Bytes data, GuestBytes(*f, args[2].i32, args[3].i32));
     auto kv = LookupState(*f, key);
     FAASM_RETURN_IF_ERROR(kv->EnsureCapacity(data.size()));
-    // WritableData may pull boundary pages, so take it before the local lock.
-    uint8_t* dst = kv->WritableData(0, data.size());  // marks pages for delta push
+    // WritableData may pull a boundary page, so take it before the local lock.
+    uint8_t* dst = kv->WritableData(0, data.size());  // marks lines for delta push
     if (dst == nullptr) {
       return Internal("set_state: replica write failed");
     }

@@ -113,7 +113,7 @@ struct ValueRange {
 };
 
 // Merges adjacent and overlapping ranges into maximal runs so contiguous
-// dirty pages ship as one wire range. Later ranges win on overlap (they are
+// dirty lines ship as one wire range. Later ranges win on overlap (they are
 // the newer write), matching the order SetRanges applies them. Ranges are
 // returned sorted by offset; total covered extent (and the bytes at every
 // covered offset) are unchanged.

@@ -17,7 +17,8 @@ int MemfdCreate(const char* name) {
 }
 }  // namespace
 
-Result<std::unique_ptr<SharedRegion>> SharedRegion::Create(const std::string& name, size_t size) {
+Result<std::unique_ptr<SharedRegion>> SharedRegion::Create(const std::string& name, size_t size,
+                                                           size_t dirty_line_bytes) {
   if (size == 0) {
     return InvalidArgument("SharedRegion: size must be non-zero");
   }
@@ -39,7 +40,7 @@ Result<std::unique_ptr<SharedRegion>> SharedRegion::Create(const std::string& na
   }
 
   return std::unique_ptr<SharedRegion>(
-      new SharedRegion(fd, size, mapped_size, static_cast<uint8_t*>(view)));
+      new SharedRegion(fd, size, mapped_size, static_cast<uint8_t*>(view), dirty_line_bytes));
 }
 
 SharedRegion::~SharedRegion() {

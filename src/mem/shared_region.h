@@ -19,8 +19,10 @@ class SharedRegion {
  public:
   // Creates a region of `size` bytes (rounded up to whole host pages) backed
   // by an anonymous memfd, plus a host-side MAP_SHARED view for direct access
-  // by the local state tier.
-  static Result<std::unique_ptr<SharedRegion>> Create(const std::string& name, size_t size);
+  // by the local state tier. Writes are tracked at `dirty_line_bytes`
+  // granularity (a power of two; state replicas pass their push line size).
+  static Result<std::unique_ptr<SharedRegion>> Create(const std::string& name, size_t size,
+                                                      size_t dirty_line_bytes);
 
   ~SharedRegion();
 
@@ -42,12 +44,13 @@ class SharedRegion {
   const DirtyTracker& dirty() const { return dirty_; }
 
  private:
-  SharedRegion(int fd, size_t size, size_t mapped_size, uint8_t* host_view)
+  SharedRegion(int fd, size_t size, size_t mapped_size, uint8_t* host_view,
+               size_t dirty_line_bytes)
       : fd_(fd),
         size_(size),
         mapped_size_(mapped_size),
         host_view_(host_view),
-        dirty_(mapped_size) {}
+        dirty_(mapped_size, dirty_line_bytes) {}
 
   int fd_;
   size_t size_;

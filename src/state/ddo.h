@@ -41,7 +41,7 @@ class SharedArray {
   const T& operator[](size_t i) const { return reinterpret_cast<const T*>(kv_->data())[i]; }
 
   // --- Tracked writes ----------------------------------------------------------
-  // Pointer to elements [first, first+count) with their pages marked dirty,
+  // Pointer to elements [first, first+count) with their lines marked dirty,
   // so Push() ships them as a delta. Writers going through data() instead
   // must call MarkDirtyElements for the delta push to see the write.
   T* WritableElements(size_t first, size_t count) {

@@ -18,7 +18,7 @@ Status StateKeyValue::EnsureCapacity(size_t size) {
     size_ = std::max(size_, size);
     return OkStatus();
   }
-  FAASM_ASSIGN_OR_RETURN(auto region, SharedRegion::Create("state:" + key_, size));
+  FAASM_ASSIGN_OR_RETURN(auto region, SharedRegion::Create("state:" + key_, size, kStateLineBytes));
   region_ = std::move(region);
   size_ = size;
   {
@@ -34,31 +34,34 @@ uint8_t* StateKeyValue::WritableData(size_t offset, size_t len) {
   if (region_ == nullptr || offset + len > size_ || offset + len < offset) {
     return nullptr;
   }
-  // Write-allocate the partially covered boundary pages: a delta push ships
-  // whole pages, so a dirty page the replica never pulled would push local
-  // zeros over live bytes in the global tier. Filling the page first makes
-  // the later page-granular push a faithful read-modify-write. (A missing
-  // global value has nothing to clobber; that pull failure is ignored.)
+  // Write-allocate the partially covered boundary lines: a delta push ships
+  // whole lines, so a dirty line the replica never pulled would push local
+  // zeros over live bytes in the global tier. Pulling the line's page first
+  // makes the later line-granular push a faithful read-modify-write. Lines
+  // the range covers end to end need nothing: the caller overwrites every
+  // byte. (A missing global value has nothing to clobber; that pull failure
+  // is ignored.)
   if (len > 0) {
-    auto fill_if_partial = [this](size_t page_start, size_t covered_from, size_t covered_to) {
-      const size_t page_end = std::min(page_start + kStatePageBytes, size_);
-      if (covered_from <= page_start && covered_to >= page_end) {
-        return;  // fully covered: the caller overwrites every byte
+    auto fill_if_partial = [this](size_t line_start, size_t covered_from, size_t covered_to) {
+      const size_t line_end = std::min(line_start + kStateLineBytes, size_);
+      if (covered_from <= line_start && covered_to >= line_end) {
+        return;
       }
+      const size_t page = line_start / kStatePageBytes;
       {
         std::lock_guard<std::mutex> guard(pages_mutex_);
-        const size_t page = page_start / kStatePageBytes;
         if (page >= page_present_.size() || page_present_[page]) {
           return;
         }
       }
-      (void)PullChunk(page_start, page_end - page_start);
+      const size_t page_start = page * kStatePageBytes;
+      (void)PullChunk(page_start, std::min(page_start + kStatePageBytes, size_) - page_start);
     };
-    const size_t first_page_start = (offset / kStatePageBytes) * kStatePageBytes;
-    const size_t last_page_start = ((offset + len - 1) / kStatePageBytes) * kStatePageBytes;
-    fill_if_partial(first_page_start, offset, offset + len);
-    if (last_page_start != first_page_start) {
-      fill_if_partial(last_page_start, offset, offset + len);
+    const size_t first_line_start = (offset / kStateLineBytes) * kStateLineBytes;
+    const size_t last_line_start = ((offset + len - 1) / kStateLineBytes) * kStateLineBytes;
+    fill_if_partial(first_line_start, offset, offset + len);
+    if (last_line_start != first_line_start) {
+      fill_if_partial(last_line_start, offset, offset + len);
     }
   }
   MarkDirty(offset, len);
@@ -87,8 +90,20 @@ Status StateKeyValue::FetchRange(size_t offset, size_t len) {
   if (offset + chunk.size() > region_->mapped_size()) {
     return Internal("state fetch larger than replica");
   }
+  // Dirty lines hold unpushed local writes (e.g. whole lines written into a
+  // page the replica never pulled); the fetched bytes fill only the clean
+  // lines around them.
+  const std::vector<DirtyRun> dirty = region_->dirty().CollectDirtyRuns(offset, chunk.size());
   LockWrite();
-  std::memcpy(region_->host_view() + offset, chunk.data(), chunk.size());
+  size_t cursor = offset;
+  auto copy_to = [&](size_t end) {
+    std::memcpy(region_->host_view() + cursor, chunk.data() + (cursor - offset), end - cursor);
+  };
+  for (const DirtyRun& run : dirty) {
+    copy_to(run.offset);
+    cursor = run.offset + run.len;
+  }
+  copy_to(offset + chunk.size());
   UnlockWrite();
   return OkStatus();
 }

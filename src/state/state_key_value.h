@@ -21,15 +21,18 @@
 //           pulls are served by (and refresh) the per-host read cache when
 //           one is enabled, and multi-key prefetches group into kGetBatch
 //           RPCs (LocalTier::Prefetch → InstallPulled).
-//   Push  — page-granular dirty tracking (the SharedRegion's DirtyTracker):
-//           writers that go through WritableData()/MarkDirty() — the host
-//           interface, the DDOs, and guest stores into mapped state — record
-//           the pages they touch, and Push() coalesces the dirty pages into
-//           runs (adjacent/overlapping runs fused into maximal wire ranges)
-//           and ships them as ONE batched multi-range write
+//   Push  — line-granular dirty tracking (the SharedRegion's DirtyTracker,
+//           kStateLineBytes = 1 KiB lines): writers that go through
+//           WritableData()/MarkDirty() — the host interface, the DDOs, and
+//           guest stores into mapped state — record the lines they touch,
+//           and Push() coalesces the dirty lines into runs
+//           (adjacent/overlapping runs fused into maximal wire ranges) and
+//           ships them as ONE batched multi-range write
 //           (KvsClient::SetRanges), so N dirty runs cost one accounted round
-//           trip. ClearDirty happens atomically with run collection; a push
-//           failure re-marks the runs.
+//           trip. Sync replica forwards carry the same ranges, so an 8-byte
+//           counter bump moves one 1 KiB line to the master and one to each
+//           backup, not a 4 KiB page. ClearDirty happens atomically with run
+//           collection; a push failure re-marks the runs.
 //
 // BATCHED PUSH PROTOCOL (kvs_client.h kBatch). When the host's KvsClient has
 // batching enabled (the per-FaasmInstance default), Push() does not issue
@@ -109,9 +112,10 @@
 //     reader on another host observes the value as of that host's last pull
 //     and the writers' last push (two-tier weak consistency, §4.3). Use the
 //     global locks for stronger guarantees.
-//   - A delta push writes ONLY dirtied pages, so concurrently-pushed deltas
-//     from different hosts interleave at page granularity instead of
-//     last-writer-wins over the whole value.
+//   - A delta push writes ONLY dirtied lines, so concurrently-pushed deltas
+//     from different hosts interleave at line granularity instead of
+//     last-writer-wins over the whole value: two hosts writing different
+//     lines of one page both land.
 //   - Writers that bypass the write API (raw data() stores from host code)
 //     are invisible to the tracker. If a value has NEVER been marked dirty,
 //     Push() falls back to a conservative full-value push; once any writer
@@ -121,6 +125,11 @@
 //   - Pushed pages are recorded as present only when the pushed range covers
 //     the page entirely (up to the value size): a partially-pushed page may
 //     still hold bytes the replica never pulled, and must stay fetchable.
+//   - A fetch never overwrites dirty lines: when a page holding unpushed
+//     local writes is (re)fetched — after a whole-line write to a page the
+//     replica never pulled, or after InvalidateReplica — the fetched global
+//     bytes fill only its clean lines. Prefetch installs (InstallPulled) are
+//     the exception and replace everything.
 //
 // Local consistency uses a clock-aware readers/writer lock; global
 // consistency uses the KVS distributed locks.
@@ -142,8 +151,16 @@ namespace faasm {
 
 class StateKeyValue {
  public:
-  // Pull/push granularity for chunk tracking.
+  // Pull granularity: presence tracking and fetches work in 4 KiB pages.
   static constexpr size_t kStatePageBytes = 4096;
+  // Push granularity: the replica's DirtyTracker marks 1 KiB lines, and a
+  // delta push ships (and sync replication forwards) only the written lines.
+  // Finer lines cost HOGWILD writers more first-touch marks on the shared
+  // bitmap: at 512 B the perfbench sgd workload's p50 rose ~4% (10 pairs,
+  // 4-vCPU VM), while at 1 KiB it stays flat and a small write still moves a
+  // quarter of a page.
+  static constexpr size_t kStateLineBytes = 1024;
+  static_assert(kStatePageBytes % kStateLineBytes == 0, "lines must tile pages");
 
   StateKeyValue(std::string key, KvsClient* kvs, Clock* clock);
 
@@ -163,18 +180,20 @@ class StateKeyValue {
   std::shared_ptr<SharedRegion> region() { return region_; }
 
   // --- Write API (dirty tracking) ---------------------------------------------
-  // Pointer into [offset, offset+len) with the covered pages marked dirty, so
+  // Pointer into [offset, offset+len) with the covered lines marked dirty, so
   // the next Push() ships them. Returns nullptr when the replica is not
   // allocated or the range is out of bounds. Writers must route through this
   // (or MarkDirty) for delta pushes to see their writes.
   //
-  // Partially covered boundary pages that are not yet resident are pulled
-  // first (write-allocate): delta pushes ship whole pages, and an unfilled
-  // page would push local zeros over live global bytes. Because of that pull,
-  // do not call this while holding the local write lock unless the range
-  // covers its pages end to end.
+  // Write-allocate: when the range covers part of a boundary line (a line
+  // ending at the value's tail counts as covered there), that line's page is
+  // pulled first if it is not yet resident. Delta pushes ship whole lines,
+  // and an unfilled line would push local zeros over live global bytes. A
+  // range covering whole lines pulls nothing. Because of that pull, do not
+  // call this while holding the local write lock unless the range covers its
+  // lines end to end.
   //
-  // The pages are marked dirty when the pointer is handed out, BEFORE the
+  // The lines are marked dirty when the pointer is handed out, BEFORE the
   // caller writes. When another Faaslet may Push() this value concurrently,
   // call MarkDirty again after the bytes land: a push racing with the write
   // could otherwise collect-and-clear the early mark while the data was
@@ -182,7 +201,7 @@ class StateKeyValue {
   uint8_t* WritableData(size_t offset, size_t len);
   // Records a write to [offset, offset+len) done through a raw pointer. No
   // write-allocate: the bytes are already written, so the caller must have
-  // pulled the surrounding pages (or own them outright) for delta pushes to
+  // pulled the surrounding lines (or own them outright) for delta pushes to
   // be faithful — guest code gets this by calling pull_state before writing.
   void MarkDirty(size_t offset, size_t len);
 
@@ -205,7 +224,7 @@ class StateKeyValue {
   Status InstallPulled(const Bytes& value);
   // Pull only [offset, offset+len); fetches just the missing state pages.
   Status PullChunk(size_t offset, size_t len);
-  // Delta push: coalesces the dirty pages into runs and ships them as one
+  // Delta push: coalesces the dirty lines into runs and ships them as one
   // batched multi-range write. No-op when nothing is dirty. Falls back to a
   // full-value push if no writer has ever marked this value (legacy raw
   // writers — see the consistency rules above).
@@ -229,7 +248,7 @@ class StateKeyValue {
   bool master_local() const { return kvs_->MasterLocal(key_); }
 
   // Marks all pages absent so the next pull refetches (used by tests and
-  // consistency-sensitive DDOs).
+  // consistency-sensitive DDOs). The refetch keeps dirty lines.
   void InvalidateReplica();
 
   // Number of state pages currently resident in the local tier.
@@ -243,7 +262,8 @@ class StateKeyValue {
     WaitQueue acked;             // notified once done is set
   };
 
-  // Fetches [offset,len) from the global tier into the replica.
+  // Fetches [offset,len) from the global tier into the replica, leaving
+  // dirty lines (unpushed local writes) untouched.
   Status FetchRange(size_t offset, size_t len);
 
   // Batched-push tail of Push(): enqueues the merged ranges into the

@@ -78,7 +78,7 @@ TEST(LinearMemoryTest, MapSharedRegionAliasesMemory) {
   auto memory = LinearMemory::Create(1, 100);
   ASSERT_TRUE(memory.ok());
   auto& m = *memory.value();
-  auto region_result = SharedRegion::Create("shared", 3 * kHostPageBytes);
+  auto region_result = SharedRegion::Create("shared", 3 * kHostPageBytes, kHostPageBytes);
   ASSERT_TRUE(region_result.ok());
   std::shared_ptr<SharedRegion> region = std::move(region_result.value());
 
@@ -101,7 +101,7 @@ TEST(LinearMemoryTest, SharedRegionVisibleFromTwoMemories) {
   auto mem_b = LinearMemory::Create(4, 100);
   ASSERT_TRUE(mem_a.ok());
   ASSERT_TRUE(mem_b.ok());
-  auto region_result = SharedRegion::Create("s", kHostPageBytes);
+  auto region_result = SharedRegion::Create("s", kHostPageBytes, kHostPageBytes);
   ASSERT_TRUE(region_result.ok());
   std::shared_ptr<SharedRegion> region = std::move(region_result.value());
 
@@ -119,7 +119,7 @@ TEST(LinearMemoryTest, UnmapSharedRegionsRestoresPrivateMemory) {
   auto memory = LinearMemory::Create(1, 100);
   ASSERT_TRUE(memory.ok());
   auto& m = *memory.value();
-  auto region_result = SharedRegion::Create("s", kHostPageBytes);
+  auto region_result = SharedRegion::Create("s", kHostPageBytes, kHostPageBytes);
   ASSERT_TRUE(region_result.ok());
   std::shared_ptr<SharedRegion> region = std::move(region_result.value());
   region->host_view()[0] = 0x77;
@@ -138,7 +138,7 @@ TEST(LinearMemoryTest, UnmapSharedRegionsRestoresPrivateMemory) {
 TEST(LinearMemoryTest, MemoryLimitAppliesToSharedMappings) {
   auto memory = LinearMemory::Create(1, 1);  // no headroom
   ASSERT_TRUE(memory.ok());
-  auto region_result = SharedRegion::Create("s", kHostPageBytes);
+  auto region_result = SharedRegion::Create("s", kHostPageBytes, kHostPageBytes);
   ASSERT_TRUE(region_result.ok());
   std::shared_ptr<SharedRegion> region = std::move(region_result.value());
   auto offset = memory.value()->MapSharedRegion(region);

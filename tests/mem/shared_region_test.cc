@@ -11,7 +11,7 @@ namespace faasm {
 namespace {
 
 TEST(SharedRegionTest, CreateAndWriteThroughHostView) {
-  auto region = SharedRegion::Create("test", 1000);
+  auto region = SharedRegion::Create("test", 1000, kHostPageBytes);
   ASSERT_TRUE(region.ok()) << region.status().ToString();
   auto& r = *region.value();
   EXPECT_EQ(r.size(), 1000u);
@@ -21,20 +21,20 @@ TEST(SharedRegionTest, CreateAndWriteThroughHostView) {
 }
 
 TEST(SharedRegionTest, ZeroSizeRejected) {
-  auto region = SharedRegion::Create("empty", 0);
+  auto region = SharedRegion::Create("empty", 0, kHostPageBytes);
   EXPECT_FALSE(region.ok());
   EXPECT_EQ(region.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SharedRegionTest, SizeRoundsUpToHostPages) {
-  auto region = SharedRegion::Create("round", kHostPageBytes + 1);
+  auto region = SharedRegion::Create("round", kHostPageBytes + 1, kHostPageBytes);
   ASSERT_TRUE(region.ok());
   EXPECT_EQ(region.value()->mapped_size(), 2 * kHostPageBytes);
 }
 
 TEST(SharedRegionTest, TwoViewsOfSamePhysicalMemory) {
   // A second MAP_SHARED view of the region's fd must alias the first.
-  auto region = SharedRegion::Create("alias", kHostPageBytes);
+  auto region = SharedRegion::Create("alias", kHostPageBytes, kHostPageBytes);
   ASSERT_TRUE(region.ok());
   auto& r = *region.value();
   void* second = mmap(nullptr, r.mapped_size(), PROT_READ | PROT_WRITE, MAP_SHARED, r.fd(), 0);

@@ -1,10 +1,12 @@
-// Cluster-level delta-push test: the same SGD training run must converge to
+// Cluster-level delta-push tests: the same SGD training run must converge to
 // the same loss regime while moving measurably fewer network bytes when the
 // weight vector syncs via dirty-run delta pushes instead of full-value
-// pushes.
+// pushes; and a small write pushes and replicates one line, not a page.
 #include <gtest/gtest.h>
 
+#include "kvs/replication.h"
 #include "runtime/cluster.h"
+#include "state/state_key_value.h"
 #include "workloads/sgd.h"
 
 namespace faasm {
@@ -66,6 +68,86 @@ TEST(DeltaPushClusterTest, SgdMovesFewerBytesAtEqualLoss) {
   // less data overall (the shared pull/chain traffic is identical).
   EXPECT_LT(delta.network_bytes, full.network_bytes * 3 / 4)
       << "delta=" << delta.network_bytes << " full=" << full.network_bytes;
+}
+
+// A state write on a host that neither masters nor backs up the key, at
+// R=2: the push crosses the network to the master, which forwards to the
+// backup.
+TEST(DeltaPushClusterTest, SmallWriteShipsOneLineToMasterAndBackup) {
+  ClusterConfig config;
+  config.hosts = 4;
+  config.replication_factor = 2;
+  FaasmCluster cluster(config);
+
+  const auto snapshot = cluster.shard_map().Snapshot();
+  std::string key;
+  std::string master;
+  std::string backup;
+  for (int i = 0; key.empty() && i < 100000; ++i) {
+    const std::string probe = "line-" + std::to_string(i);
+    const std::string endpoint = cluster.shard_map().MasterFor(probe);
+    const auto backups = BackupsFor(snapshot.endpoints(), endpoint, 2);
+    if (backups.size() == 1) {
+      key = probe;
+      master = ShardMap::HostForEndpoint(endpoint);
+      backup = ShardMap::HostForEndpoint(backups[0]);
+    }
+  }
+  ASSERT_FALSE(key.empty());
+  size_t writer = cluster.host_count();
+  for (size_t i = 0; i < cluster.host_count(); ++i) {
+    if (cluster.host(i).name() != master && cluster.host(i).name() != backup) {
+      writer = i;
+      break;
+    }
+  }
+  ASSERT_LT(writer, cluster.host_count());
+  constexpr size_t kLine = StateKeyValue::kStateLineBytes;
+  ASSERT_TRUE(cluster.kvs().Set(key, Bytes(2 * StateKeyValue::kStatePageBytes, 0)).ok());
+
+  cluster.Run([&](Frontend&) {
+    auto kv = cluster.host(writer).tier().Lookup(key);
+    ASSERT_TRUE(kv->PullChunk(0, StateKeyValue::kStatePageBytes).ok());
+
+    InProcNetwork& network = cluster.network();
+    const std::string master_endpoint = ShardMap::EndpointForHost(master);
+    const std::string backup_endpoint = ReplicaEndpointForHost(backup);
+    const EndpointStats master_before = network.StatsFor(master_endpoint);
+    const EndpointStats backup_before = network.StatsFor(backup_endpoint);
+    const KvsServer* master_server = nullptr;
+    for (size_t i = 0; i < cluster.host_count(); ++i) {
+      if (cluster.host(i).name() == master) {
+        master_server = cluster.host(i).shard_server();
+      }
+    }
+    ASSERT_NE(master_server, nullptr);
+    const uint64_t writes_before = master_server->write_rpc_count();
+    const uint64_t forwards_before = cluster.replication()->stats().forward_rpcs.value();
+
+    uint8_t* counter = kv->WritableData(8, sizeof(uint64_t));
+    ASSERT_NE(counter, nullptr);
+    counter[0] = 1;
+    ASSERT_TRUE(kv->Push().ok());
+
+    // One RPC to the master and one forward to the backup, as with page
+    // pushes; each carries one line plus framing, not a 4 KiB page.
+    // (The master also receives the backup's small forward ack.)
+    const EndpointStats master_after = network.StatsFor(master_endpoint);
+    const EndpointStats backup_after = network.StatsFor(backup_endpoint);
+    EXPECT_EQ(master_server->write_rpc_count(), writes_before + 1);
+    EXPECT_EQ(cluster.replication()->stats().forward_rpcs.value(), forwards_before + 1);
+    EXPECT_EQ(backup_after.rx_messages - backup_before.rx_messages, 1u);
+    const uint64_t master_rx = master_after.rx_bytes - master_before.rx_bytes;
+    const uint64_t backup_rx = backup_after.rx_bytes - backup_before.rx_bytes;
+    EXPECT_GE(master_rx, kLine);
+    EXPECT_LT(master_rx, 2 * kLine);
+    EXPECT_GE(backup_rx, kLine);
+    EXPECT_LT(backup_rx, 2 * kLine);
+  });
+
+  auto global = cluster.kvs().Get(key);
+  ASSERT_TRUE(global.ok());
+  EXPECT_EQ(global.value()[8], 1);
 }
 
 }  // namespace

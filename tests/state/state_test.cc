@@ -154,8 +154,8 @@ TEST_F(StateTest, DeltaPushShipsOnlyDirtyRuns) {
 
   network_.ResetStats();
   ASSERT_TRUE(kv->Push().ok());
-  // Three dirty pages shipped in ONE round trip — not the 64 KiB value, not
-  // one RPC per run.
+  // One dirty line plus two dirty pages shipped in ONE round trip — not the
+  // 64 KiB value, not one RPC per run.
   EXPECT_LT(network_.total_bytes(), 4 * StateKeyValue::kStatePageBytes);
   EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
 
@@ -179,14 +179,18 @@ TEST_F(StateTest, DeltaPushClearsDirtyAfterSuccess) {
 }
 
 TEST_F(StateTest, SparseTrackedWriteDoesNotClobberGlobalNeighbours) {
-  // Delta pushes ship whole pages, so WritableData on a never-pulled page
-  // must fill it from the global tier first (write-allocate) — otherwise the
-  // push would overwrite live global bytes with local zeros.
+  // Delta pushes ship whole lines, so WritableData covering part of a line
+  // on a never-pulled page must fill the page from the global tier first
+  // (write-allocate) — otherwise the push would overwrite live global bytes
+  // with local zeros.
   SeedGlobal("k", 2 * StateKeyValue::kStatePageBytes, 0xAA);
   auto kv = tier_.Lookup("k");
   ASSERT_TRUE(kv->EnsureCapacity(2 * StateKeyValue::kStatePageBytes).ok());
+  const uint64_t reads_before = server_.read_rpc_count();
   uint8_t* dst = kv->WritableData(0, 10);
   ASSERT_NE(dst, nullptr);
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);  // page 0 pulled
+  EXPECT_EQ(kv->resident_pages(), 1u);
   std::memset(dst, 0xBB, 10);
   ASSERT_TRUE(kv->Push().ok());
   auto global = store_.Get("k").value();
@@ -195,6 +199,95 @@ TEST_F(StateTest, SparseTrackedWriteDoesNotClobberGlobalNeighbours) {
   // Bytes of page 0 the writer did not touch keep their global value.
   EXPECT_EQ(global[10], 0xAA);
   EXPECT_EQ(global[StateKeyValue::kStatePageBytes - 1], 0xAA);
+}
+
+TEST_F(StateTest, WholeLineWriteSkipsWriteAllocatePull) {
+  // A write covering whole lines overwrites every byte the push will ship,
+  // so a non-present page is not pulled for it. The value's tail counts as
+  // covered: [page, page + 100) ends the value mid-line.
+  constexpr size_t kLine = StateKeyValue::kStateLineBytes;
+  constexpr size_t kPage = StateKeyValue::kStatePageBytes;
+  SeedGlobal("k", kPage + 100, 0xAA);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->EnsureCapacity(kPage + 100).ok());
+  const uint64_t reads_before = server_.read_rpc_count();
+  uint8_t* lines = kv->WritableData(kLine, 2 * kLine);
+  ASSERT_NE(lines, nullptr);
+  std::memset(lines, 0xBB, 2 * kLine);
+  uint8_t* tail = kv->WritableData(kPage, 100);
+  ASSERT_NE(tail, nullptr);
+  std::memset(tail, 0xCC, 100);
+  EXPECT_EQ(server_.read_rpc_count(), reads_before);
+  EXPECT_EQ(kv->resident_pages(), 0u);
+
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Push().ok());
+  // Only the written lines travel: 2 lines + the 100-byte tail, not 2 pages.
+  EXPECT_LT(network_.total_bytes(), 3 * kLine + 100 + 256);
+  auto global = store_.Get("k").value();
+  EXPECT_EQ(global[kLine - 1], 0xAA);
+  EXPECT_EQ(global[kLine], 0xBB);
+  EXPECT_EQ(global[3 * kLine - 1], 0xBB);
+  EXPECT_EQ(global[3 * kLine], 0xAA);
+  EXPECT_EQ(global[kPage - 1], 0xAA);
+  EXPECT_EQ(global[kPage], 0xCC);
+  EXPECT_EQ(global[kPage + 99], 0xCC);
+}
+
+TEST_F(StateTest, WriteAllocatePullKeepsUnpushedDirtyLines) {
+  // Whole lines written into a never-pulled page, then a partial-line write
+  // on the same page: the write-allocate pull fills the page around the
+  // dirty lines instead of fetching stale global bytes over them.
+  constexpr size_t kLine = StateKeyValue::kStateLineBytes;
+  constexpr size_t kPage = StateKeyValue::kStatePageBytes;
+  constexpr size_t kAt = kPage / 2 + 8;  // part of a line past line 0
+  SeedGlobal("k", kPage, 0xAA);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->EnsureCapacity(kPage).ok());
+  uint8_t* whole = kv->WritableData(0, kLine);
+  ASSERT_NE(whole, nullptr);
+  std::memset(whole, 0xBB, kLine);
+  const uint64_t reads_before = server_.read_rpc_count();
+  uint8_t* partial = kv->WritableData(kAt, 8);
+  ASSERT_NE(partial, nullptr);
+  std::memset(partial, 0xCC, 8);
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);  // partial line: pulled
+  EXPECT_EQ(kv->data()[0], 0xBB);                          // kept across the pull
+  EXPECT_EQ(kv->data()[kLine], 0xAA);                      // filled by the pull
+
+  ASSERT_TRUE(kv->Push().ok());
+  auto global = store_.Get("k").value();
+  EXPECT_EQ(global[0], 0xBB);
+  EXPECT_EQ(global[kLine - 1], 0xBB);
+  EXPECT_EQ(global[kLine], 0xAA);
+  EXPECT_EQ(global[kAt - 1], 0xAA);
+  EXPECT_EQ(global[kAt], 0xCC);
+  EXPECT_EQ(global[kAt + 8], 0xAA);
+}
+
+TEST_F(StateTest, ConcurrentHostsWritingOnePageBothLand) {
+  // Two hosts pull the same page and write different lines of it. Each
+  // delta push ships only its writer's line, so neither erases the other.
+  constexpr size_t kPage = StateKeyValue::kStatePageBytes;
+  SeedGlobal("k", kPage, 0x00);
+  KvsClient other_kvs(&network_, "host-1");
+  LocalTier other_tier(&other_kvs, &clock_);
+  auto mine = tier_.Lookup("k");
+  auto theirs = other_tier.Lookup("k");
+  ASSERT_TRUE(mine->Pull().ok());
+  ASSERT_TRUE(theirs->Pull().ok());
+
+  std::memset(mine->WritableData(0, 8), 0x11, 8);
+  ASSERT_TRUE(mine->Push().ok());
+  std::memset(theirs->WritableData(2048, 8), 0x22, 8);
+  ASSERT_TRUE(theirs->Push().ok());
+
+  auto global = store_.Get("k").value();
+  EXPECT_EQ(global[0], 0x11);
+  EXPECT_EQ(global[7], 0x11);
+  EXPECT_EQ(global[2048], 0x22);
+  EXPECT_EQ(global[2055], 0x22);
+  EXPECT_EQ(global[8], 0x00);
 }
 
 TEST_F(StateTest, WritableDataOnMissingGlobalValueStillWorks) {
