@@ -6,8 +6,8 @@ namespace faasm {
 
 namespace {
 
-// One body serving both dialects: the replica channel inserts its apply
-// sequence between the key and the args and admits the lock ops.
+// One body serving both channels: the replica channel inserts its apply
+// sequence between the key and the args.
 Bytes EncodeOpImpl(const KvsBatchOp& op, bool replica, uint64_t seq) {
   Bytes out;
   out.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
@@ -18,9 +18,6 @@ Bytes EncodeOpImpl(const KvsBatchOp& op, bool replica, uint64_t seq) {
     writer.Put<uint64_t>(seq);
   }
   switch (op.op) {
-    case KvsOp::kGet:
-    case KvsOp::kDelete:
-      break;
     case KvsOp::kGetRange:
       writer.Put<uint64_t>(op.offset);
       writer.Put<uint64_t>(op.len);
@@ -43,18 +40,14 @@ Bytes EncodeOpImpl(const KvsBatchOp& op, bool replica, uint64_t seq) {
     }
     case KvsOp::kSetAdd:
     case KvsOp::kSetRemove:
-      writer.PutString(op.member);
-      break;
     case KvsOp::kLockRead:
     case KvsOp::kLockWrite:
     case KvsOp::kUnlockRead:
     case KvsOp::kUnlockWrite:
-      // Replica dialect only: the lock owner (public batches cannot carry
-      // lock ops, so this arm never shapes a public byte).
       writer.PutString(op.member);
       break;
     default:
-      break;  // not batchable; the server answers InvalidArgument
+      break;  // key-only ops; a code naming no sub-op is refused on decode
   }
   return out;
 }
@@ -71,6 +64,9 @@ Result<KvsBatchOp> DecodeOpImpl(const Bytes& part, bool replica) {
   switch (op.op) {
     case KvsOp::kGet:
     case KvsOp::kDelete:
+    case KvsOp::kExists:
+    case KvsOp::kSize:
+    case KvsOp::kSetMembers:
       break;
     case KvsOp::kGetRange: {
       FAASM_ASSIGN_OR_RETURN(op.offset, reader.Get<uint64_t>());
@@ -99,17 +95,11 @@ Result<KvsBatchOp> DecodeOpImpl(const Bytes& part, bool replica) {
       break;
     }
     case KvsOp::kSetAdd:
-    case KvsOp::kSetRemove: {
-      FAASM_ASSIGN_OR_RETURN(op.member, reader.GetString());
-      break;
-    }
+    case KvsOp::kSetRemove:
     case KvsOp::kLockRead:
     case KvsOp::kLockWrite:
     case KvsOp::kUnlockRead:
     case KvsOp::kUnlockWrite: {
-      if (!replica) {
-        return InvalidArgument("kvs: op not batchable");
-      }
       FAASM_ASSIGN_OR_RETURN(op.member, reader.GetString());
       break;
     }
@@ -117,6 +107,45 @@ Result<KvsBatchOp> DecodeOpImpl(const Bytes& part, bool replica) {
       return InvalidArgument("kvs: op not batchable");
   }
   return op;
+}
+
+// The op-keyed payload after an ok status byte.
+Status DecodeResultPayload(KvsOp op, ByteReader& reader, KvsBatchResult& result) {
+  switch (op) {
+    case KvsOp::kGet:
+    case KvsOp::kGetRange: {
+      FAASM_ASSIGN_OR_RETURN(result.value, reader.GetBytes());
+      break;
+    }
+    case KvsOp::kAppend:
+    case KvsOp::kSize: {
+      FAASM_ASSIGN_OR_RETURN(result.length, reader.Get<uint64_t>());
+      break;
+    }
+    case KvsOp::kExists:
+    case KvsOp::kSetAdd:
+    case KvsOp::kSetRemove:
+    case KvsOp::kLockRead:
+    case KvsOp::kLockWrite: {
+      FAASM_ASSIGN_OR_RETURN(uint8_t flag, reader.Get<uint8_t>());
+      result.flag = flag != 0;
+      break;
+    }
+    case KvsOp::kSetMembers: {
+      // `count` is wire data: cap the reservation and let the parse loop
+      // reject a payload too short for the count it claims.
+      FAASM_ASSIGN_OR_RETURN(uint32_t count, reader.Get<uint32_t>());
+      result.members.reserve(std::min<uint32_t>(count, 1024));
+      for (uint32_t i = 0; i < count; ++i) {
+        FAASM_ASSIGN_OR_RETURN(std::string member, reader.GetString());
+        result.members.push_back(std::move(member));
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return OkStatus();
 }
 
 }  // namespace
@@ -129,6 +158,9 @@ Status ReadStatus(ByteReader& reader) {
   auto code = reader.Get<uint8_t>();
   if (!code.ok()) {
     return Internal("kvs: malformed response");
+  }
+  if (code.value() > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
+    return Internal("kvs: malformed response status");
   }
   const auto status_code = static_cast<StatusCode>(code.value());
   if (status_code == StatusCode::kOk) {
@@ -151,6 +183,24 @@ Result<KvsBatchOp> DecodeReplicaOp(const Bytes& part) {
   return DecodeOpImpl(part, /*replica=*/true);
 }
 
+Bytes EncodeInstall(const std::string& key, const KeyExport& record) {
+  Bytes request;
+  request.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
+  ByteWriter writer(request);
+  writer.Put<uint8_t>(static_cast<uint8_t>(KvsOp::kMigrateInstall));
+  writer.PutString(key);
+  writer.PutBytes(record.Serialize());
+  return request;
+}
+
+Result<InstallRequest> DecodeInstall(ByteReader& reader) {
+  InstallRequest install;
+  FAASM_ASSIGN_OR_RETURN(install.key, reader.GetString());
+  FAASM_ASSIGN_OR_RETURN(Bytes payload, reader.GetBytes());
+  FAASM_ASSIGN_OR_RETURN(install.record, KeyExport::Deserialize(payload));
+  return install;
+}
+
 Bytes EncodeBatchResult(const KvsOp op, const KvsBatchResult& result) {
   Bytes out;
   out.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
@@ -165,13 +215,21 @@ Bytes EncodeBatchResult(const KvsOp op, const KvsBatchResult& result) {
       writer.PutBytes(result.value);
       break;
     case KvsOp::kAppend:
+    case KvsOp::kSize:
       writer.Put<uint64_t>(result.length);
       break;
+    case KvsOp::kExists:
     case KvsOp::kSetAdd:
     case KvsOp::kSetRemove:
     case KvsOp::kLockRead:
     case KvsOp::kLockWrite:
       writer.Put<uint8_t>(result.flag ? 1 : 0);
+      break;
+    case KvsOp::kSetMembers:
+      writer.Put<uint32_t>(static_cast<uint32_t>(result.members.size()));
+      for (const std::string& member : result.members) {
+        writer.PutString(member);
+      }
       break;
     default:
       break;
@@ -183,43 +241,8 @@ KvsBatchResult DecodeBatchResult(const KvsOp op, const Bytes& part) {
   KvsBatchResult result;
   ByteReader reader(part);
   result.status = ReadStatus(reader);
-  if (!result.status.ok()) {
-    return result;
-  }
-  switch (op) {
-    case KvsOp::kGet:
-    case KvsOp::kGetRange: {
-      auto value = reader.GetBytes();
-      if (!value.ok()) {
-        result.status = value.status();
-      } else {
-        result.value = std::move(value).value();
-      }
-      break;
-    }
-    case KvsOp::kAppend: {
-      auto length = reader.Get<uint64_t>();
-      if (!length.ok()) {
-        result.status = length.status();
-      } else {
-        result.length = length.value();
-      }
-      break;
-    }
-    case KvsOp::kSetAdd:
-    case KvsOp::kSetRemove:
-    case KvsOp::kLockRead:
-    case KvsOp::kLockWrite: {
-      auto flag = reader.Get<uint8_t>();
-      if (!flag.ok()) {
-        result.status = flag.status();
-      } else {
-        result.flag = flag.value() != 0;
-      }
-      break;
-    }
-    default:
-      break;
+  if (result.status.ok()) {
+    result.status = DecodeResultPayload(op, reader, result);
   }
   return result;
 }

@@ -446,9 +446,26 @@ KvsBatchResult KvStore::ApplyLocked(Shard& shard, const KvsBatchOp& op) {
       }
       break;
     }
-    // Lock ops, with the owner in `member`. Unreachable from the public
-    // batch wire (its decode rejects them); they arrive here from the
-    // single-op funnel (MutateOne) and the replication forward channel.
+    case KvsOp::kExists:
+      result.flag = shard.values.count(op.key) > 0;
+      break;
+    case KvsOp::kSize: {
+      auto it = shard.values.find(op.key);
+      if (it == shard.values.end()) {
+        result.status = NotFound("kvs: no such key: " + op.key);
+      } else {
+        result.length = it->second.size();
+      }
+      break;
+    }
+    case KvsOp::kSetMembers: {
+      auto it = shard.sets.find(op.key);
+      if (it != shard.sets.end()) {
+        result.members.assign(it->second.begin(), it->second.end());
+      }
+      break;
+    }
+    // Lock ops, with the owner in `member`.
     case KvsOp::kLockRead: {
       LockState& lock = shard.locks[op.key];
       result.flag = lock.writer.empty();

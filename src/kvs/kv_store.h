@@ -23,10 +23,11 @@
 //     moved key; because the guard reads the live map, a key whose
 //     mastership later returns is immediately servable again.
 //
-// Only Exists/SetMembers keep answering regardless (their bool/vector
-// signatures have no error channel); their consumers — warm-set scheduling
-// — tolerate a stale view. ExportKey / InstallKey / EraseKey move a key's
-// full footprint (value bytes, lock state, set members) between stores.
+// The direct Exists/SetMembers methods answer regardless (their bool/vector
+// signatures have no error channel) and serve seeding and inspection; the
+// client's kExists/kSetMembers ops run through ExecuteBatch and are checked
+// like every other op. ExportKey / InstallKey / EraseKey move a key's full
+// footprint (value bytes, lock state, set members) between stores.
 #ifndef FAASM_KVS_KV_STORE_H_
 #define FAASM_KVS_KV_STORE_H_
 
@@ -46,9 +47,10 @@
 
 namespace faasm {
 
-// Operation codes of the KVS wire protocol (kvs_client.h). They live here —
-// below the client/server pair — because batched requests (KvsBatchOp,
-// ExecuteBatch) carry them through the store layer.
+// Operation codes of the KVS wire protocol (kvs_client.h). kBatch,
+// kGetBatch and kMigrateInstall are request kinds; every other code names a
+// sub-op carried inside a batch. They live here — below the client/server
+// pair — because sub-ops (KvsBatchOp, ExecuteBatch) run through the store.
 enum class KvsOp : uint8_t {
   kGet = 1,
   kSet = 2,
@@ -70,18 +72,29 @@ enum class KvsOp : uint8_t {
   // master. Exempt from the server's ownership check (it arrives BEFORE the
   // epoch flips the key to this shard).
   kMigrateInstall = 17,
-  // A framed group of sub-ops executed as one request (ExecuteBatch): the
+  // A framed group of sub-ops executed as one request (ExecuteBatch). Every
+  // client op travels this way: a single op is a one-op group, and the
   // cross-shard ops of one state push travel as ONE RPC per endpoint.
   kBatch = 18,
-  // Read-only twin of kBatch: carries only kGet/kGetRange sub-ops (the
-  // grouped pulls of one prefetch). Same framing and per-op result vector;
-  // a mutating sub-op smuggled into one is rejected per op with
-  // InvalidArgument instead of executing.
+  // Read-only twin of kBatch: carries only read sub-ops (IsReadBatchOp).
+  // Same framing and per-op result vector; a mutating sub-op smuggled into
+  // one is rejected per op with InvalidArgument instead of executing.
   kGetBatch = 19,
 };
 
-// True for the sub-ops a kGetBatch (read-only batch) may carry.
-inline bool IsReadBatchOp(KvsOp op) { return op == KvsOp::kGet || op == KvsOp::kGetRange; }
+// True for the read-only sub-ops: the ones a kGetBatch may carry.
+inline bool IsReadBatchOp(KvsOp op) {
+  switch (op) {
+    case KvsOp::kGet:
+    case KvsOp::kGetRange:
+    case KvsOp::kExists:
+    case KvsOp::kSize:
+    case KvsOp::kSetMembers:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // True for ops that mutate store state. This is the set the replication
 // substrate (kvs/replication.h) forwards primary→backup; the lock ops count
@@ -120,24 +133,26 @@ struct ValueRange {
 std::vector<ValueRange> MergeValueRanges(std::vector<ValueRange> ranges);
 
 // One sub-op of a batched request. `op` says which fields are meaningful:
-//   kGet                 — key only
+//   kGet / kDelete / kExists / kSize / kSetMembers — key only
 //   kGetRange            — offset + len
 //   kSet / kAppend       — bytes
 //   kSetRange            — offset + bytes
 //   kSetRanges           — ranges
 //   kSetAdd / kSetRemove — member
-//   kDelete              — key only
+//   lock ops             — member (the lock owner)
+// Every field has a default, so an op can be built with designated
+// initializers naming just the fields it uses.
 struct KvsBatchOp {
   KvsOp op = KvsOp::kGet;
-  std::string key;
+  std::string key{};
   uint64_t offset = 0;
   uint64_t len = 0;  // kGetRange only
-  Bytes bytes;
-  std::vector<ValueRange> ranges;
-  std::string member;
-  // Replication forward channel only (kvs/batch_codec.h, replica dialect):
-  // the primary's apply sequence for this op. Always 0 on the public kBatch
-  // wire and for locally built batches.
+  Bytes bytes{};
+  std::vector<ValueRange> ranges{};
+  std::string member{};
+  // Replication forward channel only (kvs/batch_codec.h): the primary's
+  // apply sequence for this op. Always 0 on the client wire and for locally
+  // built batches.
   uint64_t seq = 0;
 };
 
@@ -146,8 +161,11 @@ struct KvsBatchOp {
 struct KvsBatchResult {
   Status status = OkStatus();
   Bytes value;          // kGet / kGetRange
-  uint64_t length = 0;  // kAppend: value length after the append
-  bool flag = false;    // kSetAdd / kSetRemove: membership changed
+  uint64_t length = 0;  // kAppend: length after the append; kSize: length
+  // kSetAdd / kSetRemove: membership changed; lock tries: acquired;
+  // kExists: the key holds a value.
+  bool flag = false;
+  std::vector<std::string> members;  // kSetMembers
 };
 
 // A key's complete store-side footprint, as moved by shard migration: the

@@ -28,209 +28,21 @@ Bytes KvsServer::Handle(const Bytes& request) {
   ByteReader reader(request);
 
   auto op_byte = reader.Get<uint8_t>();
-  if (!op_byte.ok()) {
-    WriteStatus(writer, InvalidArgument("malformed request"));
-    return response;
-  }
-  const KvsOp op = static_cast<KvsOp>(op_byte.value());
-  if (op == KvsOp::kGet || op == KvsOp::kGetRange || op == KvsOp::kSize ||
-      op == KvsOp::kGetBatch) {
-    read_rpcs_.Increment();
-  }
-  // Write-side twin of the read tally. kBatch counts as one write RPC (its
-  // sub-ops may mix, but only a mutating batch ships as kBatch);
-  // kMigrateInstall is excluded — stream traffic is accounted by the
-  // migration/replication subsystems, not as client write load.
-  if (IsMutatingOp(op) || op == KvsOp::kBatch) {
-    write_rpcs_.Increment();
-  }
+  const KvsOp op = op_byte.ok() ? static_cast<KvsOp>(op_byte.value()) : KvsOp{};
   if (op == KvsOp::kBatch || op == KvsOp::kGetBatch) {
-    // Batched request: no top-level key — each framed sub-op carries its
-    // own, and ownership is checked per op.
+    // Every client op arrives here: each framed sub-op carries its own key,
+    // and ownership is checked per op.
     HandleBatch(reader, writer, /*read_only=*/op == KvsOp::kGetBatch);
-    return response;
-  }
-  auto key = reader.GetString();
-  if (!key.ok()) {
-    WriteStatus(writer, InvalidArgument("malformed request"));
-    return response;
-  }
-
-  // Epoch-aware ownership check: a request routed under a stale shard map
-  // lands here although mastership moved — redirect the client instead of
-  // serving (or worse, creating) a stranded copy. Migration installs are
-  // exempt: they stream a key in BEFORE the epoch flips it to this shard.
-  if (map_ != nullptr && static_cast<KvsOp>(op_byte.value()) != KvsOp::kMigrateInstall &&
-      map_->MasterFor(key.value()) != endpoint_) {
-    WriteStatus(writer, WrongMaster("kvs: '" + key.value() + "' is not mastered by " + endpoint_));
-    return response;
-  }
-
-  switch (static_cast<KvsOp>(op_byte.value())) {
-    case KvsOp::kGet: {
-      auto value = store_->Get(key.value());
-      WriteStatus(writer, value.status());
-      if (value.ok()) {
-        writer.PutBytes(value.value());
-      }
-      break;
+  } else if (op == KvsOp::kMigrateInstall) {
+    // The migration stream. Exempt from the ownership check: it installs a
+    // key BEFORE the epoch flips it to this shard.
+    auto install = DecodeInstall(reader);
+    if (install.ok()) {
+      store_->InstallKey(install.value().key, install.value().record);
     }
-    case KvsOp::kSet: {
-      auto value = reader.GetBytes();
-      if (!value.ok()) {
-        WriteStatus(writer, value.status());
-        break;
-      }
-      WriteStatus(writer, store_->Set(key.value(), std::move(value).value()));
-      break;
-    }
-    case KvsOp::kGetRange: {
-      auto offset = reader.Get<uint64_t>();
-      auto len = reader.Get<uint64_t>();
-      if (!offset.ok() || !len.ok()) {
-        WriteStatus(writer, InvalidArgument("malformed range"));
-        break;
-      }
-      auto value = store_->GetRange(key.value(), offset.value(), len.value());
-      WriteStatus(writer, value.status());
-      if (value.ok()) {
-        writer.PutBytes(value.value());
-      }
-      break;
-    }
-    case KvsOp::kSetRange: {
-      auto offset = reader.Get<uint64_t>();
-      auto value = reader.GetBytes();
-      if (!offset.ok() || !value.ok()) {
-        WriteStatus(writer, InvalidArgument("malformed range write"));
-        break;
-      }
-      WriteStatus(writer, store_->SetRange(key.value(), offset.value(), value.value()));
-      break;
-    }
-    case KvsOp::kSetRanges: {
-      auto count = reader.Get<uint32_t>();
-      if (!count.ok()) {
-        WriteStatus(writer, count.status());
-        break;
-      }
-      std::vector<ValueRange> ranges;
-      // `count` is wire data; cap the reservation and let the per-range
-      // parse loop reject truncated payloads instead of pre-allocating for
-      // an attacker-chosen count.
-      ranges.reserve(std::min<uint32_t>(count.value(), 1024));
-      Status parse = OkStatus();
-      for (uint32_t i = 0; i < count.value(); ++i) {
-        auto offset = reader.Get<uint64_t>();
-        auto bytes = reader.GetBytes();
-        if (!offset.ok() || !bytes.ok()) {
-          parse = InvalidArgument("malformed range-batch write");
-          break;
-        }
-        ranges.push_back(ValueRange{offset.value(), std::move(bytes).value()});
-      }
-      WriteStatus(writer, parse.ok() ? store_->SetRanges(key.value(), ranges) : parse);
-      break;
-    }
-    case KvsOp::kAppend: {
-      auto value = reader.GetBytes();
-      if (!value.ok()) {
-        WriteStatus(writer, value.status());
-        break;
-      }
-      auto new_len = store_->Append(key.value(), value.value());
-      WriteStatus(writer, new_len.status());
-      if (new_len.ok()) {
-        writer.Put<uint64_t>(new_len.value());
-      }
-      break;
-    }
-    case KvsOp::kDelete:
-      WriteStatus(writer, store_->Delete(key.value()));
-      break;
-    case KvsOp::kExists:
-      WriteStatus(writer, OkStatus());
-      writer.Put<uint8_t>(store_->Exists(key.value()) ? 1 : 0);
-      break;
-    case KvsOp::kSize: {
-      auto size = store_->Size(key.value());
-      WriteStatus(writer, size.status());
-      if (size.ok()) {
-        writer.Put<uint64_t>(size.value());
-      }
-      break;
-    }
-    case KvsOp::kLockRead:
-    case KvsOp::kLockWrite: {
-      auto owner = reader.GetString();
-      if (!owner.ok()) {
-        WriteStatus(writer, owner.status());
-        break;
-      }
-      auto acquired = op_byte.value() == static_cast<uint8_t>(KvsOp::kLockRead)
-                          ? store_->TryLockRead(key.value(), owner.value())
-                          : store_->TryLockWrite(key.value(), owner.value());
-      WriteStatus(writer, acquired.status());
-      if (acquired.ok()) {
-        writer.Put<uint8_t>(acquired.value() ? 1 : 0);
-      }
-      break;
-    }
-    case KvsOp::kUnlockRead:
-    case KvsOp::kUnlockWrite: {
-      auto owner = reader.GetString();
-      if (!owner.ok()) {
-        WriteStatus(writer, owner.status());
-        break;
-      }
-      WriteStatus(writer, op_byte.value() == static_cast<uint8_t>(KvsOp::kUnlockRead)
-                              ? store_->UnlockRead(key.value(), owner.value())
-                              : store_->UnlockWrite(key.value(), owner.value()));
-      break;
-    }
-    case KvsOp::kSetAdd:
-    case KvsOp::kSetRemove: {
-      auto member = reader.GetString();
-      if (!member.ok()) {
-        WriteStatus(writer, member.status());
-        break;
-      }
-      auto changed = op_byte.value() == static_cast<uint8_t>(KvsOp::kSetAdd)
-                         ? store_->SetAdd(key.value(), member.value())
-                         : store_->SetRemove(key.value(), member.value());
-      WriteStatus(writer, changed.status());
-      if (changed.ok()) {
-        writer.Put<uint8_t>(changed.value() ? 1 : 0);
-      }
-      break;
-    }
-    case KvsOp::kSetMembers: {
-      auto members = store_->SetMembers(key.value());
-      WriteStatus(writer, OkStatus());
-      writer.Put<uint32_t>(static_cast<uint32_t>(members.size()));
-      for (const std::string& member : members) {
-        writer.PutString(member);
-      }
-      break;
-    }
-    case KvsOp::kMigrateInstall: {
-      auto record_bytes = reader.GetBytes();
-      if (!record_bytes.ok()) {
-        WriteStatus(writer, record_bytes.status());
-        break;
-      }
-      auto record = KeyExport::Deserialize(record_bytes.value());
-      if (!record.ok()) {
-        WriteStatus(writer, record.status());
-        break;
-      }
-      store_->InstallKey(key.value(), record.value());
-      WriteStatus(writer, OkStatus());
-      break;
-    }
-    default:
-      WriteStatus(writer, InvalidArgument("unknown kvs op"));
-      break;
+    WriteStatus(writer, install.status());
+  } else {
+    WriteStatus(writer, InvalidArgument("unknown kvs request"));
   }
   return response;
 }
@@ -248,22 +60,30 @@ void KvsServer::HandleBatch(ByteReader& reader, ByteWriter& writer, bool read_on
   // from execution; `to_run[i]` says whether results[i] comes from the store.
   std::vector<bool> to_run(parts.value().size(), false);
   std::vector<const KvsBatchOp*> runnable;
+  // Only existence and warm-set probes in a read batch: the scheduler's
+  // metadata lookups, tallied as neither reads nor writes.
+  bool probes_only = !parts.value().empty();
   for (size_t i = 0; i < parts.value().size(); ++i) {
     auto op = DecodeBatchOp(parts.value()[i]);
     if (!op.ok()) {
       ops.emplace_back();
       results[i].status = op.status();
+      probes_only = false;
       continue;
     }
     ops.push_back(std::move(op).value());
+    probes_only =
+        probes_only && (ops[i].op == KvsOp::kExists || ops[i].op == KvsOp::kSetMembers);
     // A kGetBatch is read-only by contract: a mutating sub-op smuggled in
     // is rejected here, before it can touch the store.
     if (read_only && !IsReadBatchOp(ops[i].op)) {
       results[i].status = InvalidArgument("kvs: mutating op in read batch");
       continue;
     }
-    // Same epoch-aware ownership check as single ops, applied per sub-op so
-    // a batch straddling a membership change bounces only the moved keys.
+    // Epoch-aware ownership check, per sub-op: a request routed under a
+    // stale shard map is redirected instead of served (or worse, creating a
+    // stranded copy), and a batch straddling a membership change bounces
+    // only the moved keys.
     if (map_ != nullptr && map_->MasterFor(ops[i].key) != endpoint_) {
       results[i].status =
           WrongMaster("kvs: '" + ops[i].key + "' is not mastered by " + endpoint_);
@@ -275,6 +95,13 @@ void KvsServer::HandleBatch(ByteReader& reader, ByteWriter& writer, bool read_on
     if (to_run[i]) {
       runnable.push_back(&ops[i]);
     }
+  }
+  // A kBatch is one write RPC whatever its sub-ops mix (a group holding no
+  // mutation ships as kGetBatch).
+  if (!read_only) {
+    write_rpcs_.Increment();
+  } else if (!probes_only) {
+    read_rpcs_.Increment();
   }
   std::vector<KvsBatchResult> executed = store_->ExecuteBatch(runnable);
   for (size_t i = 0, next = 0; i < ops.size(); ++i) {
@@ -437,228 +264,77 @@ std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
   return std::nullopt;
 }
 
-Result<Bytes> KvsClient::Invoke(const std::string& server, KvsOp op,
-                                const std::function<void(ByteWriter&)>& write_args) {
-  Bytes request;
-  ByteWriter writer(request);
-  writer.Put<uint8_t>(static_cast<uint8_t>(op));
-  write_args(writer);
-  return network_->Call(source_, server, request);
-}
-Status KvsClient::Set(const std::string& key, const Bytes& value) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.Set(key, value); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSet, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutBytes(value);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+// --- Single ops -------------------------------------------------------------------
+
+namespace {
+
+// The public op's answer: `field` of the result, or its error.
+template <typename T>
+Result<T> ResultOf(KvsBatchResult&& result, T KvsBatchResult::*field) {
+  if (!result.status.ok()) {
+    return result.status;
+  }
+  return std::move(result.*field);
 }
 
-Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
-  // Cache consult — only for reads that would cross the network (master-
-  // local reads are already free, and caching them would only add
-  // staleness).
-  const bool cacheable = read_cache_.enabled() && !options.bypass_cache;
-  if (cacheable && RouteFor(key).local == nullptr) {
-    if (auto hit = read_cache_.Lookup(key, options.offset, options.len, options.max_staleness)) {
-      return std::move(*hit);
-    }
+}  // namespace
+
+KvsBatchResult KvsClient::RunOne(KvsBatchOp op, const ReadOptions& options) {
+  KvsBatchResult result;
+  OpBatch::Pending pending;
+  pending.op = std::move(op);
+  pending.read_options = options;
+  pending.done = [&result](KvsBatchResult& landed) { result = std::move(landed); };
+  if (!IsReadBatchOp(pending.op.op)) {
+    read_cache_.Invalidate(pending.op.key);
+  } else if (ServeNearby(pending, RouteFor(pending.op.key), /*may_flush=*/true)) {
+    return result;
   }
-  // Tier two: a co-located replica. When this host mirrors the key's shard
-  // and the copy is certified for the live epoch (sync mode) or provably
-  // within the read's staleness budget (async mode), the backup answers
-  // in-process — zero network bytes.
-  if (replica_cfg_.replica != nullptr && RouteFor(key).local == nullptr) {
-    const std::string master = shards_ != nullptr ? shards_->MasterFor(key) : "";
-    if (!master.empty() && LocallyBacked(master)) {
-      // Read-your-writes: an ambient batch holding a pending write to this
-      // key must land on the master before a replica may answer.
-      if (HasPendingAmbientWrite(key)) {
-        FlushBatch();
-      }
-      if (auto served = TryReplicaRead(key, options)) {
-        if (cacheable && served->ok() && options.whole_value()) {
-          read_cache_.InsertFull(key, served->value());  // tier two refreshes tier one
-        }
-        return std::move(*served);
-      }
-    }
-  }
-  // Whole-value reads travel as kGet, ranged ones as kGetRange; both are
-  // one wire read either way.
-  bool remote = false;
-  auto result = Routed(
-      key,
-      [&](KvStore& store) -> Result<Bytes> {
-        remote = false;
-        return options.whole_value() ? store.Get(key)
-                                     : store.GetRange(key, options.offset, options.len);
-      },
-      [&](const std::string& server) -> Result<Bytes> {
-        remote = true;
-        auto response =
-            options.whole_value()
-                ? Invoke(server, KvsOp::kGet, [&](ByteWriter& w) { w.PutString(key); })
-                : Invoke(server, KvsOp::kGetRange, [&](ByteWriter& w) {
-                    w.PutString(key);
-                    w.Put<uint64_t>(options.offset);
-                    w.Put<uint64_t>(options.len);
-                  });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.GetBytes();
-      });
-  // Only whole values populate the cache (a lookup can then serve any
-  // sub-range of them without ever inventing bytes it did not fetch).
-  if (remote && cacheable && result.ok() && options.whole_value()) {
-    read_cache_.InsertFull(key, result.value());
-  }
+  std::vector<OpBatch::Pending> group;
+  group.push_back(std::move(pending));
+  RunGroup(std::move(group));
   return result;
 }
 
+Status KvsClient::Set(const std::string& key, const Bytes& value) {
+  return RunOne({.op = KvsOp::kSet, .key = key, .bytes = value}).status;
+}
+
+Result<Bytes> KvsClient::Read(const std::string& key, const ReadOptions& options) {
+  const KvsOp op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange;
+  return ResultOf(
+      RunOne({.op = op, .key = key, .offset = options.offset, .len = options.len}, options),
+      &KvsBatchResult::value);
+}
+
 Status KvsClient::SetRange(const std::string& key, uint64_t offset, const Bytes& bytes) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRange(key, offset, bytes); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSetRange, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.Put<uint64_t>(offset);
-          w.PutBytes(bytes);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kSetRange, .key = key, .offset = offset, .bytes = bytes}).status;
 }
 
 Status KvsClient::SetRanges(const std::string& key, const std::vector<ValueRange>& ranges) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRanges(key, ranges); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kSetRanges, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.Put<uint32_t>(static_cast<uint32_t>(ranges.size()));
-          for (const ValueRange& range : ranges) {
-            w.Put<uint64_t>(range.offset);
-            w.PutBytes(range.bytes);
-          }
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kSetRanges, .key = key, .ranges = ranges}).status;
 }
 
 Result<uint64_t> KvsClient::Append(const std::string& key, const Bytes& bytes) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key,
-      [&](KvStore& store) -> Result<uint64_t> {
-        FAASM_ASSIGN_OR_RETURN(size_t new_len, store.Append(key, bytes));
-        return static_cast<uint64_t>(new_len);
-      },
-      [&](const std::string& server) -> Result<uint64_t> {
-        auto response = Invoke(server, KvsOp::kAppend, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutBytes(bytes);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.Get<uint64_t>();
-      });
+  return ResultOf(RunOne({.op = KvsOp::kAppend, .key = key, .bytes = bytes}),
+                  &KvsBatchResult::length);
 }
 
 Status KvsClient::Delete(const std::string& key) {
-  read_cache_.Invalidate(key);
-  return Routed(
-      key, [&](KvStore& store) { return store.Delete(key); },
-      [&](const std::string& server) {
-        auto response =
-            Invoke(server, KvsOp::kDelete, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kDelete, .key = key}).status;
 }
 
 Result<bool> KvsClient::Exists(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) -> Result<bool> { return store.Exists(key); },
-      [&](const std::string& server) -> Result<bool> {
-        auto response =
-            Invoke(server, KvsOp::kExists, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        auto flag = reader.Get<uint8_t>();
-        if (!flag.ok()) {
-          return flag.status();
-        }
-        return flag.value() != 0;
-      });
+  return ResultOf(RunOne({.op = KvsOp::kExists, .key = key}), &KvsBatchResult::flag);
 }
 
 Result<uint64_t> KvsClient::Size(const std::string& key) {
-  // A fresh cached value (or size-only entry) answers without a round trip;
-  // a remote answer refreshes the size stamp so a following Pull's fetch
-  // decision and its sizing agree.
-  if (read_cache_.enabled() && RouteFor(key).local == nullptr) {
-    if (auto hit = read_cache_.LookupSize(key, ReadOptions::kLeaseStaleness)) {
-      return *hit;
-    }
-  }
-  bool remote = false;
-  auto sized = Routed(
-      key,
-      [&](KvStore& store) -> Result<uint64_t> {
-        remote = false;
-        FAASM_ASSIGN_OR_RETURN(size_t size, store.Size(key));
-        return static_cast<uint64_t>(size);
-      },
-      [&](const std::string& server) -> Result<uint64_t> {
-        remote = true;
-        auto response = Invoke(server, KvsOp::kSize, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        return reader.Get<uint64_t>();
-      });
-  if (remote && read_cache_.enabled() && sized.ok()) {
-    read_cache_.InsertSize(key, sized.value());
-  }
-  return sized;
+  return ResultOf(RunOne({.op = KvsOp::kSize, .key = key}), &KvsBatchResult::length);
 }
 
 Result<bool> KvsClient::TryLockRead(const std::string& key) {
-  auto acquired = Routed(
-      key, [&](KvStore& store) { return store.TryLockRead(key, source_); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kLockRead, key, source_); });
+  auto acquired = ResultOf(RunOne({.op = KvsOp::kLockRead, .key = key, .member = source_}),
+                           &KvsBatchResult::flag);
   if (acquired.ok() && acquired.value()) {
     // No stale read under a lock: the first read after acquisition must
     // refetch the bytes the lock serialises, not a leased copy.
@@ -666,10 +342,10 @@ Result<bool> KvsClient::TryLockRead(const std::string& key) {
   }
   return acquired;
 }
+
 Result<bool> KvsClient::TryLockWrite(const std::string& key) {
-  auto acquired = Routed(
-      key, [&](KvStore& store) { return store.TryLockWrite(key, source_); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kLockWrite, key, source_); });
+  auto acquired = ResultOf(RunOne({.op = KvsOp::kLockWrite, .key = key, .member = source_}),
+                           &KvsBatchResult::flag);
   if (acquired.ok() && acquired.value()) {
     read_cache_.Invalidate(key);  // as TryLockRead
   }
@@ -677,91 +353,51 @@ Result<bool> KvsClient::TryLockWrite(const std::string& key) {
 }
 
 Status KvsClient::UnlockRead(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) { return store.UnlockRead(key, source_); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kUnlockRead, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutString(source_);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
+  return RunOne({.op = KvsOp::kUnlockRead, .key = key, .member = source_}).status;
 }
 
 Status KvsClient::UnlockWrite(const std::string& key) {
-  return Routed(
-      key, [&](KvStore& store) { return store.UnlockWrite(key, source_); },
-      [&](const std::string& server) {
-        auto response = Invoke(server, KvsOp::kUnlockWrite, [&](ByteWriter& w) {
-          w.PutString(key);
-          w.PutString(source_);
-        });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        return ReadStatus(reader);
-      });
-}
-
-Result<bool> KvsClient::BoolOp(const std::string& server, KvsOp op, const std::string& key,
-                               const std::string& arg) {
-  auto response = Invoke(server, op, [&](ByteWriter& w) {
-    w.PutString(key);
-    w.PutString(arg);
-  });
-  if (!response.ok()) {
-    return response.status();
-  }
-  ByteReader reader(response.value());
-  FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-  auto flag = reader.Get<uint8_t>();
-  if (!flag.ok()) {
-    return flag.status();
-  }
-  return flag.value() != 0;
+  return RunOne({.op = KvsOp::kUnlockWrite, .key = key, .member = source_}).status;
 }
 
 Result<bool> KvsClient::SetAdd(const std::string& key, const std::string& member) {
-  return Routed(
-      key, [&](KvStore& store) { return store.SetAdd(key, member); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kSetAdd, key, member); });
+  return ResultOf(RunOne({.op = KvsOp::kSetAdd, .key = key, .member = member}),
+                  &KvsBatchResult::flag);
 }
+
 Result<bool> KvsClient::SetRemove(const std::string& key, const std::string& member) {
-  return Routed(
-      key, [&](KvStore& store) { return store.SetRemove(key, member); },
-      [&](const std::string& server) { return BoolOp(server, KvsOp::kSetRemove, key, member); });
+  return ResultOf(RunOne({.op = KvsOp::kSetRemove, .key = key, .member = member}),
+                  &KvsBatchResult::flag);
+}
+
+Result<std::vector<std::string>> KvsClient::SetMembers(const std::string& key) {
+  return ResultOf(RunOne({.op = KvsOp::kSetMembers, .key = key}), &KvsBatchResult::members);
 }
 
 // --- Batched ops ----------------------------------------------------------------
 
-void OpBatch::Push(KvsBatchOp op, Ack done, ReadAck read_done) {
+OpBatch::Done OpBatch::StatusAck(Ack done) {
+  if (done == nullptr) {
+    return nullptr;
+  }
+  return [done = std::move(done)](KvsBatchResult& result) { done(result.status); };
+}
+
+void OpBatch::Push(KvsBatchOp op, Done done) {
   Pending pending;
   pending.op = std::move(op);
   pending.done = std::move(done);
-  pending.read_done = std::move(read_done);
   ops_.push_back(std::move(pending));
 }
 
 void OpBatch::Set(std::string key, Bytes value, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSet;
-  op.key = std::move(key);
-  op.bytes = std::move(value);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSet, .key = std::move(key), .bytes = std::move(value)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRange(std::string key, uint64_t offset, Bytes bytes, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRange;
-  op.key = std::move(key);
-  op.offset = offset;
-  op.bytes = std::move(bytes);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRange, .key = std::move(key), .offset = offset, .bytes = std::move(bytes)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack done) {
@@ -775,62 +411,54 @@ void OpBatch::SetRanges(std::string key, std::vector<ValueRange> ranges, Ack don
     prev.op.ranges = MergeValueRanges(std::move(prev.op.ranges));
     if (done != nullptr) {
       if (prev.done == nullptr) {
-        prev.done = std::move(done);
+        prev.done = StatusAck(std::move(done));
       } else {
         prev.done = [first = std::move(prev.done),
-                     second = std::move(done)](const Status& status) {
-          first(status);
-          second(status);
+                     second = std::move(done)](KvsBatchResult& result) {
+          first(result);
+          second(result.status);
         };
       }
     }
     return;
   }
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRanges;
-  op.key = std::move(key);
-  op.ranges = MergeValueRanges(std::move(ranges));
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRanges,
+        .key = std::move(key),
+        .ranges = MergeValueRanges(std::move(ranges))},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Append(std::string key, Bytes bytes, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kAppend;
-  op.key = std::move(key);
-  op.bytes = std::move(bytes);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kAppend, .key = std::move(key), .bytes = std::move(bytes)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Delete(std::string key, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kDelete;
-  op.key = std::move(key);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kDelete, .key = std::move(key)}, StatusAck(std::move(done)));
 }
 
 void OpBatch::SetAdd(std::string key, std::string member, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetAdd;
-  op.key = std::move(key);
-  op.member = std::move(member);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetAdd, .key = std::move(key), .member = std::move(member)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::SetRemove(std::string key, std::string member, Ack done) {
-  KvsBatchOp op;
-  op.op = KvsOp::kSetRemove;
-  op.key = std::move(key);
-  op.member = std::move(member);
-  Push(std::move(op), std::move(done));
+  Push({.op = KvsOp::kSetRemove, .key = std::move(key), .member = std::move(member)},
+       StatusAck(std::move(done)));
 }
 
 void OpBatch::Read(std::string key, ReadOptions options, ReadAck done) {
-  KvsBatchOp op;
-  op.op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange;
-  op.key = std::move(key);
-  op.offset = options.offset;
-  op.len = options.len;
-  Push(std::move(op), nullptr, std::move(done));
+  Push({.op = options.whole_value() ? KvsOp::kGet : KvsOp::kGetRange,
+        .key = std::move(key),
+        .offset = options.offset,
+        .len = options.len},
+       [done = std::move(done)](KvsBatchResult& result) {
+         if (result.status.ok()) {
+           done(std::move(result.value));
+         } else {
+           done(result.status);
+         }
+       });
   ops_.back().read_options = options;
 }
 
@@ -860,18 +488,73 @@ bool BatchHandle::done() const {
 }
 
 void KvsClient::CompleteOp(OpBatch::Pending& pending, KvsBatchResult result) {
-  if (pending.read_done != nullptr) {
-    if (result.status.ok()) {
-      pending.read_done(std::move(result.value));
-    } else {
-      pending.read_done(result.status);
-    }
-    pending.read_done = nullptr;
-  }
   if (pending.done != nullptr) {
-    pending.done(result.status);
+    pending.done(result);
     pending.done = nullptr;
   }
+}
+
+bool KvsClient::ServeNearby(OpBatch::Pending& pending, const Route& route, bool may_flush) {
+  const std::string& key = pending.op.key;
+  const ReadOptions& options = pending.read_options;
+  // Master-local ops are already free, and caching them would only add
+  // staleness.
+  if (route.local != nullptr) {
+    return false;
+  }
+  KvsBatchResult served;
+  if (pending.op.op == KvsOp::kSize) {
+    // A fresh cached value (or size-only entry) answers; a remote answer
+    // refreshes the size stamp (RunGroup), so a following Pull's fetch
+    // decision and its sizing agree.
+    auto size = read_cache_.LookupSize(key, ReadOptions::kLeaseStaleness);
+    if (!size.has_value()) {
+      return false;
+    }
+    served.length = *size;
+    CompleteOp(pending, std::move(served));
+    return true;
+  }
+  if (pending.op.op != KvsOp::kGet && pending.op.op != KvsOp::kGetRange) {
+    return false;
+  }
+  // Tier one: the read cache.
+  const bool cacheable = read_cache_.enabled() && !options.bypass_cache;
+  if (cacheable) {
+    if (auto hit = read_cache_.Lookup(key, options.offset, options.len, options.max_staleness)) {
+      served.value = std::move(*hit);
+      CompleteOp(pending, std::move(served));
+      return true;
+    }
+  }
+  // Tier two: a co-located replica answers in process when this host mirrors
+  // the key's shard and the copy is certified for the live epoch (sync
+  // mode) or provably within the read's staleness budget (async mode).
+  if (replica_cfg_.replica == nullptr || !LocallyBacked(route.endpoint)) {
+    return false;
+  }
+  // Read-your-writes: a pending ambient write to this key must land on the
+  // master before a replica may answer. A lone op flushes it; a batched read
+  // cannot flush from inside its own dispatch and goes to the master.
+  if (HasPendingAmbientWrite(key)) {
+    if (!may_flush) {
+      return false;
+    }
+    FlushBatch();
+  }
+  auto from_replica = TryReplicaRead(key, options);
+  if (!from_replica.has_value()) {
+    return false;
+  }
+  served.status = from_replica->status();
+  if (from_replica->ok()) {
+    served.value = std::move(*from_replica).value();
+    if (cacheable && options.whole_value()) {
+      read_cache_.InsertFull(key, served.value);  // tier two refreshes tier one
+    }
+  }
+  CompleteOp(pending, std::move(served));
+  return true;
 }
 
 std::vector<KvsBatchResult> KvsClient::RemoteBatch(const std::string& endpoint,
@@ -885,8 +568,11 @@ std::vector<KvsBatchResult> KvsClient::RemoteBatch(const std::string& endpoint,
   }
   // A pure read group ships as kGetBatch — the wire-visible read-only twin
   // (the server rejects any mutating sub-op in one).
-  auto response = Invoke(endpoint, all_reads ? KvsOp::kGetBatch : KvsOp::kBatch,
-                         [&](ByteWriter& w) { WriteFrameBatch(w, parts); });
+  Bytes request;
+  ByteWriter writer(request);
+  writer.Put<uint8_t>(static_cast<uint8_t>(all_reads ? KvsOp::kGetBatch : KvsOp::kBatch));
+  WriteFrameBatch(writer, parts);
+  auto response = network_->Call(source_, endpoint, request);
   std::vector<KvsBatchResult> results(ops.size());
   auto fail_all = [&](const Status& status) {
     for (KvsBatchResult& result : results) {
@@ -960,10 +646,14 @@ Status KvsClient::RunGroup(std::vector<OpBatch::Pending> ops) {
           first_error = results[i].status;
         }
         // A whole-value read that crossed the network refreshes the cache
-        // (same rule as the single-op path: partial values never populate).
-        if (from_remote && read_cache_.enabled() && results[i].status.ok() &&
-            group[i].op.op == KvsOp::kGet && !group[i].read_options.bypass_cache) {
-          read_cache_.InsertFull(group[i].op.key, results[i].value);
+        // (partial values never populate it, so a lookup can serve any
+        // sub-range without inventing bytes), and a size refreshes the stamp.
+        if (from_remote && read_cache_.enabled() && results[i].status.ok()) {
+          if (group[i].op.op == KvsOp::kGet && !group[i].read_options.bypass_cache) {
+            read_cache_.InsertFull(group[i].op.key, results[i].value);
+          } else if (group[i].op.op == KvsOp::kSize) {
+            read_cache_.InsertSize(group[i].op.key, results[i].length);
+          }
         }
         CompleteOp(group[i], std::move(results[i]));
       }
@@ -999,50 +689,20 @@ BatchHandle KvsClient::DispatchBatch(OpBatch&& batch) {
   // the master-local group and single-group batches run inline (no thread
   // spawn for the degenerate cases). Mutating ops drop the key's cached
   // read here (before any RPC, so the cache can never mask an op already
-  // accepted into a batch); cross-host reads consult the cache and ops it
-  // serves complete immediately with zero network bytes.
+  // accepted into a batch); reads ServeNearby answers (cache or co-located
+  // replica) complete immediately with zero network bytes.
   std::map<std::string, std::vector<OpBatch::Pending>> groups;
   // Keys this batch itself mutates: a later read of one in the SAME batch
-  // must not be served by a replica — it would jump the batch's own write.
+  // goes to the master — a nearer tier would jump the batch's own write.
   std::set<std::string> mutated_in_batch;
   for (OpBatch::Pending& pending : batch.ops_) {
     Route route = RouteFor(pending.op.key);
     if (!IsReadBatchOp(pending.op.op)) {
       read_cache_.Invalidate(pending.op.key);
-      if (replica_cfg_.replica != nullptr) {
-        mutated_in_batch.insert(pending.op.key);
-      }
-    } else if (route.local == nullptr) {
-      if (read_cache_.enabled() && !pending.read_options.bypass_cache) {
-        if (auto hit = read_cache_.Lookup(pending.op.key, pending.read_options.offset,
-                                          pending.read_options.len,
-                                          pending.read_options.max_staleness)) {
-          KvsBatchResult served;
-          served.value = std::move(*hit);
-          CompleteOp(pending, std::move(served));
-          continue;
-        }
-      }
-      // Tier two: a co-located replica serves the read in-process. Skipped
-      // for keys this batch or the ambient batch mutates (their writes must
-      // land first; those ops fall through to the master group instead —
-      // cheaper than a flush barrier inside dispatch).
-      if (replica_cfg_.replica != nullptr && mutated_in_batch.count(pending.op.key) == 0 &&
-          LocallyBacked(route.endpoint) && !HasPendingAmbientWrite(pending.op.key)) {
-        if (auto from_replica = TryReplicaRead(pending.op.key, pending.read_options)) {
-          KvsBatchResult served;
-          served.status = from_replica->status();
-          if (from_replica->ok()) {
-            served.value = std::move(*from_replica).value();
-          }
-          if (served.status.ok() && read_cache_.enabled() &&
-              !pending.read_options.bypass_cache && pending.read_options.whole_value()) {
-            read_cache_.InsertFull(pending.op.key, served.value);
-          }
-          CompleteOp(pending, std::move(served));
-          continue;
-        }
-      }
+      mutated_in_batch.insert(pending.op.key);
+    } else if (mutated_in_batch.count(pending.op.key) == 0 &&
+               ServeNearby(pending, route, /*may_flush=*/false)) {
+      continue;
     }
     const std::string& slot = route.local != nullptr ? local_endpoint_ : route.endpoint;
     groups[slot].push_back(std::move(pending));
@@ -1168,35 +828,6 @@ Status KvsClient::FlushBatch() {
 size_t KvsClient::pending_batch_ops() const {
   std::lock_guard<std::mutex> guard(ambient_mutex_);
   return ambient_.size();
-}
-
-Result<std::vector<std::string>> KvsClient::SetMembers(const std::string& key) {
-  return Routed(
-      key,
-      [&](KvStore& store) -> Result<std::vector<std::string>> { return store.SetMembers(key); },
-      [&](const std::string& server) -> Result<std::vector<std::string>> {
-        auto response =
-            Invoke(server, KvsOp::kSetMembers, [&](ByteWriter& w) { w.PutString(key); });
-        if (!response.ok()) {
-          return response.status();
-        }
-        ByteReader reader(response.value());
-        FAASM_RETURN_IF_ERROR(ReadStatus(reader));
-        auto count = reader.Get<uint32_t>();
-        if (!count.ok()) {
-          return count.status();
-        }
-        std::vector<std::string> members;
-        members.reserve(count.value());
-        for (uint32_t i = 0; i < count.value(); ++i) {
-          auto member = reader.GetString();
-          if (!member.ok()) {
-            return member.status();
-          }
-          members.push_back(std::move(member).value());
-        }
-        return members;
-      });
 }
 
 }  // namespace faasm

@@ -35,27 +35,27 @@
 // Without a map, kUnavailable surfaces immediately, like every other error.
 //
 // Constructed without a ShardMap, the client is an ADAPTER over the same
-// routed machinery: every key resolves to the single configured endpoint
-// (the pre-sharding baseline, kept for ablations and component tests), all
-// ops — single and batched — take the identical code path, and with no map
-// there is no alternate route, so a kWrongMaster answer surfaces to the
-// caller as a typed Status (code kWrongMaster) immediately, after exactly
-// one round trip, never as a silent success.
+// machinery: every key resolves to the single configured endpoint (the
+// pre-sharding baseline, kept for ablations and component tests), and with
+// no map there is no alternate route, so a kWrongMaster answer surfaces to
+// the caller as a typed Status (code kWrongMaster) immediately, after
+// exactly one round trip, never as a silent success.
 //
-// BATCHED OPS (the kBatch / kGetBatch wire ops). An OpBatch accumulates
-// mutating ops plus Read ops and DispatchBatch groups them by each key's
-// CURRENT master endpoint: every group travels as ONE framed RPC
-// (net/framing.h), the master-local group runs in process for zero network
-// bytes, and groups bound for different shards are issued concurrently when
-// a spawner is configured — a push (or prefetch) touching K keys mastered
-// on M hosts costs at most M round trips, overlapped, instead of K
-// serialised ones. A group made entirely of reads ships as kGetBatch, the
-// read-only twin the server refuses to let mutate anything. The server
-// answers a per-op status vector (KvStore::ExecuteBatch runs each touched
-// store shard's group under one mutex acquisition), so a batch that
-// straddles a live migration bounces ONLY the moving keys with
-// kWrongMaster; the client re-resolves just those ops against the new epoch
-// and retries them, with the same backoff budget as single-op redirects.
+// ONE REQUEST PATH (the kBatch / kGetBatch wire ops). Every op travels as a
+// sub-op of a batch: a single public op (Set, Read, a lock op, ...) is a
+// one-op group its caller runs inline, and an OpBatch accumulates many.
+// DispatchBatch groups a batch's ops by each key's CURRENT master endpoint:
+// every group travels as ONE framed RPC (net/framing.h), the master-local
+// group runs in process for zero network bytes, and groups bound for
+// different shards are issued concurrently when a spawner is configured — a
+// push (or prefetch) touching K keys mastered on M hosts costs at most M
+// round trips, overlapped, instead of K serialised ones. A group made
+// entirely of reads ships as kGetBatch, the read-only twin the server
+// refuses to let mutate anything. The server answers a per-op status vector
+// (KvStore::ExecuteBatch runs each touched store shard's group under one
+// mutex acquisition), so a batch that straddles a live migration bounces
+// ONLY the moving keys with kWrongMaster; the client re-resolves just those
+// ops against the new epoch and retries them under the redirect budget.
 // Per-op error/ack model: each enqueued op can carry a completion callback,
 // invoked exactly once with the op's final status after retries — an op is
 // "acked" only when its callback has fired with Ok, which is what the state
@@ -68,7 +68,9 @@
 // contract ({max_staleness, bypass_cache}).
 //
 // THE THREE-TIER READ PATH. A read that is not master-local resolves through
-// up to three tiers, cheapest first, each with its own staleness contract:
+// up to three tiers, cheapest first, each with its own staleness contract.
+// One function (ServeNearby) makes this decision for single and batched
+// reads alike:
 //
 //   1. READ CACHE (kvs/read_cache.h, opt-in via EnableReadCache): a per-host
 //      cache of previously pulled full values. A hit costs nothing and MAY
@@ -78,18 +80,17 @@
 //      keeps a backup of the key's shard (replication_factor > 1 and
 //      BackupsFor places a copy here), the read is served from the local
 //      ReplicaShard in process — zero network bytes — under the validity
-//      rules below. OpBatch reads and LocalTier::Prefetch take the same
-//      shortcut per op while grouping.
-//   3. MASTER: the cross-host RPC (kGet/kGetRange, or the grouped
-//      kGetBatch), always correct, always paid for.
+//      rules below.
+//   3. MASTER: the read's group travels to the master as one kGetBatch
+//      (a lone read is a one-op group), always correct, always paid for.
 //
 // REPLICA-READ VALIDITY. A backup copy serves only when provably current:
 //   - SYNC replication: an acked write is applied at every live backup
 //     before its ack, so a certified copy can never miss an acked write.
 //     Read-your-writes still requires one step — a pending ambient write on
-//     the key flushes (single-op Read) or disqualifies the shortcut for that
-//     op (batched reads), so a replica serve never precedes this host's own
-//     enqueued write of the key.
+//     the key flushes (a lone Read) or disqualifies the shortcut for that
+//     op (batched reads, as does a write earlier in the same batch), so a
+//     replica serve never precedes this host's own enqueued write of the key.
 //   - Validity is keyed by (key, shard-map epoch) exactly like the read
 //     cache: the copy must have been certified (installed or re-anchored by
 //     the membership-serialised mirror/Reconcile flows) at the LIVE epoch,
@@ -107,9 +108,9 @@
 //
 // READ CACHE COHERENCE (tier one). A cached read is NEVER stale with
 // respect to:
-//   - this host's own writes — every local mutation (Set/SetRange/
-//     SetRanges/Append/Delete, batched ops at ENQUEUE time) invalidates the
-//     key's entry;
+//   - this host's own writes — every mutating op, single or batched,
+//     invalidates the key's entry before it is sent (ambient pushes at
+//     ENQUEUE time);
 //   - membership changes — entries are keyed by shard-map epoch, and an
 //     epoch flip invalidates implicitly;
 //   - reads under a global lock — acquiring TryLockRead/TryLockWrite
@@ -152,17 +153,19 @@ class KvsServer {
 
   const std::string& endpoint() const { return endpoint_; }
 
-  // Read RPCs (kGet / kGetRange / kSize / kGetBatch) this server answered
-  // over the network. Master-local reads never reach the server, so this is
-  // exactly the cross-host pull RPC count the benches gate on.
+  // kGetBatch RPCs this server answered over the network, except those
+  // made only of existence / warm-set probes (kExists, kSetMembers).
+  // Master-local reads never reach the server, so this is exactly the
+  // cross-host pull RPC count the benches gate on.
   uint64_t read_rpc_count() const { return read_rpcs_.value(); }
-  // Write-side twin: mutating single-op RPCs plus kBatch requests this
-  // server answered. Excludes kMigrateInstall (migration/replication
-  // streams are accounted by their own subsystems). Replication tests bound
-  // the forwarded-op RPC overhead against this baseline.
+  // Write-side twin: kBatch RPCs this server answered. Excludes
+  // kMigrateInstall (migration/replication streams are accounted by their
+  // own subsystems). Replication tests bound the forwarded-op RPC overhead
+  // against this baseline.
   uint64_t write_rpc_count() const { return write_rpcs_.value(); }
 
  private:
+  // Answers kBatch, kGetBatch and the migration stream's kMigrateInstall.
   Bytes Handle(const Bytes& request);
   // kBatch / kGetBatch: decodes the framed sub-ops, pre-checks ownership per
   // op (a batch straddling a membership change bounces only the moved keys),
@@ -217,8 +220,8 @@ class OpBatch {
   void SetAdd(std::string key, std::string member, Ack done = nullptr);
   void SetRemove(std::string key, std::string member, Ack done = nullptr);
   // The unified read, batched: ships as kGet (whole value) or kGetRange
-  // inside the group; cache-eligible under the same rules as
-  // KvsClient::Read.
+  // inside the group; served by the cache or a co-located replica under the
+  // same rules as KvsClient::Read.
   void Read(std::string key, ReadOptions options, ReadAck done);
   void Read(std::string key, ReadAck done) { Read(std::move(key), ReadOptions{}, std::move(done)); }
 
@@ -228,14 +231,17 @@ class OpBatch {
  private:
   friend class KvsClient;
 
+  // Completion of one sub-op with its full result (the public acks and the
+  // single-op entry points are adapters over it).
+  using Done = std::function<void(KvsBatchResult&)>;
   struct Pending {
     KvsBatchOp op;
-    Ack done;            // status-only ops
-    ReadAck read_done;   // kGet / kGetRange
+    Done done;
     ReadOptions read_options;  // read ops: the cache contract
   };
 
-  void Push(KvsBatchOp op, Ack done, ReadAck read_done = nullptr);
+  void Push(KvsBatchOp op, Done done);
+  static Done StatusAck(Ack done);
 
   std::vector<Pending> ops_;
 };
@@ -293,9 +299,9 @@ class KvsClient {
   Status Set(const std::string& key, const Bytes& value);
   // The unified read: Read(key) is a whole-value read, Read(key, {.offset,
   // .len}) a ranged one; {.max_staleness, .bypass_cache} pin the staleness
-  // contract per read. Routed like every other op (master-local reads are
-  // in-process); cross-host reads consult the read cache first when one is
-  // enabled, and whole-value fetches refresh it.
+  // contract per read. Master-local reads are in-process like every other
+  // op; cross-host reads take the three-tier path above, and whole-value
+  // fetches refresh the cache.
   Result<Bytes> Read(const std::string& key, const ReadOptions& options = {});
   Status SetRange(const std::string& key, uint64_t offset, const Bytes& bytes);
   // Batched multi-range write: N ranges cost one round trip (delta push).
@@ -432,78 +438,23 @@ class KvsClient {
   };
   Route RouteFor(const std::string& key) const;
 
-  static bool IsWrongMaster(const Status& status) {
-    return status.code() == StatusCode::kWrongMaster;
-  }
-  template <typename T>
-  static bool IsWrongMaster(const Result<T>& result) {
-    return !result.ok() && result.status().code() == StatusCode::kWrongMaster;
-  }
-  // A crashed master (FaasmCluster::KillHost) is discovered as kUnavailable:
-  // its endpoints unregister abruptly, so in-flight and fresh ops fail at
-  // the transport. With a map, that is as transient as kWrongMaster — the
-  // failover flips the epoch and the retry reroutes to the promoted master —
-  // so both share the redirect/backoff budget.
-  static bool IsUnavailable(const Status& status) {
-    return status.code() == StatusCode::kUnavailable;
-  }
-  template <typename T>
-  static bool IsUnavailable(const Result<T>& result) {
-    return !result.ok() && result.status().code() == StatusCode::kUnavailable;
-  }
-  static Status StatusFrom(const Status& status) { return status; }
-  template <typename T>
-  static Status StatusFrom(const Result<T>& result) {
-    return result.status();
-  }
   // The typed budget-exhaustion error (kDeadlineExceeded): carries the key,
   // the endpoint last tried, the attempt count, and the last transport
   // error, so callers can tell "master gone for good" from "map stale".
   static Status RedirectBudgetExhausted(const std::string& key, const std::string& endpoint,
                                         int attempts, const Status& last);
 
-  // Resolves `key`'s route and dispatches: master-local ops run `local`
-  // against the in-process store (zero network bytes), the rest run
-  // `remote` against the owning endpoint. Every public op goes through this
-  // so none can forget the fast path. Both callables must return the same
-  // type (annotate the remote lambda when its returns mix Status/Result).
-  //
-  // A kWrongMaster answer means the route went stale (membership change) or
-  // the key is frozen mid-migration: back off one virtual-time quantum and
-  // retry against the map's CURRENT epoch. Without a map there is no other
-  // route, so the error surfaces immediately.
-  template <typename LocalOp, typename RemoteOp>
-  auto Routed(const std::string& key, LocalOp&& local, RemoteOp&& remote) {
-    using R = decltype(remote(std::declval<const std::string&>()));
-    int attempt = 0;
-    while (true) {
-      Route route = RouteFor(key);
-      const std::string endpoint = route.local != nullptr ? local_endpoint_ : route.endpoint;
-      R result = route.local != nullptr ? R(local(*route.local)) : R(remote(route.endpoint));
-      const bool unavailable = IsUnavailable(result);
-      if (unavailable && suspicion_hook_ != nullptr && route.local == nullptr) {
-        suspicion_hook_(endpoint);
-      }
-      const bool retryable = IsWrongMaster(result) || unavailable;
-      if (!retryable || shards_ == nullptr) {
-        return result;
-      }
-      if (attempt >= kMaxRedirectRetries) {
-        // The budget covers any single migration or failover window; running
-        // it dry means the op waited out an extended outage with no new
-        // route appearing. Surface the typed deadline error, not the raw
-        // bounce, so the caller knows the client did not just give up early.
-        return R(RedirectBudgetExhausted(key, endpoint, attempt, StatusFrom(result)));
-      }
-      ++attempt;
-      network_->clock().SleepFor(kRedirectBackoffNs);
-    }
-  }
-
-  Result<Bytes> Invoke(const std::string& server, KvsOp op,
-                       const std::function<void(ByteWriter&)>& write_args);
-  Result<bool> BoolOp(const std::string& server, KvsOp op, const std::string& key,
-                      const std::string& arg);
+  // A single public op: a one-op group run inline on the caller's activity
+  // through the same tiering (ServeNearby) and RunGroup as a batch, but with
+  // no BatchHandle, so no FlushBatch barrier ever waits on it.
+  KvsBatchResult RunOne(KvsBatchOp op, const ReadOptions& options = {});
+  // The per-op tier decision, the one place it is made: a read whose master
+  // is remote is answered by the read cache (reads and sizes), else by the
+  // co-located replica (reads); true = `pending` completed here, false = it
+  // belongs in its master's group. A pending ambient write on the key blocks
+  // the replica: `may_flush` (lone ops) flushes it first, otherwise the read
+  // goes to the master.
+  bool ServeNearby(OpBatch::Pending& pending, const Route& route, bool may_flush);
 
   // --- Replica-read internals ---------------------------------------------------
   // True when this host's replica shard backs `master_endpoint`'s primary
@@ -526,11 +477,13 @@ class KvsClient {
   // `key` (the read-your-writes trigger).
   bool HasPendingAmbientWrite(const std::string& key) const;
 
-  // One per-endpoint slice of a dispatched batch. RunGroup drives the slice
-  // to completion: issue the framed RPC (or the in-process ExecuteBatch),
-  // fire the acks of landed ops, and loop the kWrongMaster bounces through
-  // re-resolution + backoff until they land or the retry budget runs out.
-  // Returns the group's first op error (Ok when every op landed).
+  // One per-endpoint slice of a dispatched batch, or a single op. RunGroup
+  // drives it to completion: issue the framed RPC (or the in-process
+  // ExecuteBatch), fire the acks of landed ops, and loop the kWrongMaster /
+  // kUnavailable bounces through re-resolution + backoff until they land or
+  // the retry budget runs out (without a map, a bounce surfaces after one
+  // round trip). Returns the group's first op error (Ok when every op
+  // landed).
   Status RunGroup(std::vector<OpBatch::Pending> ops);
   // Sends one group's ops to `endpoint` as a single framed RPC — kGetBatch
   // when the whole group is reads, kBatch otherwise — and decodes the

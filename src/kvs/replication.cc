@@ -173,23 +173,11 @@ Bytes ReplicaServer::Handle(const Bytes& request) {
 
   if (op == KvsOp::kMigrateInstall) {
     // A catch-up / promotion snapshot: same wire as the migration stream.
-    auto key = reader.GetString();
-    if (!key.ok()) {
-      WriteStatus(writer, key.status());
-      return out;
+    auto install = DecodeInstall(reader);
+    if (install.ok()) {
+      shard_->Install(install.value().key, install.value().record);
     }
-    auto payload = reader.GetBytes();
-    if (!payload.ok()) {
-      WriteStatus(writer, payload.status());
-      return out;
-    }
-    auto record = KeyExport::Deserialize(payload.value());
-    if (!record.ok()) {
-      WriteStatus(writer, record.status());
-      return out;
-    }
-    shard_->Install(key.value(), record.value());
-    WriteStatus(writer, OkStatus());
+    WriteStatus(writer, install.status());
     return out;
   }
 
@@ -421,12 +409,7 @@ void ReplicationManager::MirrorKey(const std::string& key) {
 Result<uint64_t> ReplicationManager::StreamInstall(const std::string& from, const std::string& to,
                                                    const std::string& key,
                                                    const KeyExport& record) {
-  Bytes request;
-  request.reserve(16);  // quiets a GCC 12 -Wstringop-overflow false positive
-  ByteWriter writer(request);
-  writer.Put<uint8_t>(static_cast<uint8_t>(KvsOp::kMigrateInstall));
-  writer.PutString(key);
-  writer.PutBytes(record.Serialize());
+  const Bytes request = EncodeInstall(key, record);
   FAASM_ASSIGN_OR_RETURN(Bytes response, network_->Call(from, to, request));
   ByteReader reader(response);
   FAASM_RETURN_IF_ERROR(ReadStatus(reader));

@@ -156,13 +156,61 @@ TEST_F(KvsClientTest, RoutedClientRetriesWrongMasterUntilOpLands) {
   network_.RegisterEndpoint(ShardMap::EndpointForHost("host-1"), [&](const Bytes&) {
     ++attempts;
     const StatusCode code = attempts <= 2 ? StatusCode::kWrongMaster : StatusCode::kOk;
-    return Bytes{static_cast<uint8_t>(code)};
+    // The answer to a one-op batch: framing-level OK, then the op's status.
+    Bytes response;
+    ByteWriter writer(response);
+    writer.Put<uint8_t>(0);
+    WriteFrameBatch(writer, {Bytes{static_cast<uint8_t>(code)}});
+    return response;
   });
   KvsClient client(&network_, "host-0", &map, /*local_store=*/nullptr);
   Status status = client.Set("migrating-key", Bytes{7});
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(attempts, 3);  // two redirects, then the op landed
   network_.UnregisterEndpoint(ShardMap::EndpointForHost("host-1"));
+
+  // A lock op takes the same path: on a key frozen mid-migration it bounces
+  // until the epoch flips, then acquires on the key's new master.
+  SimExecutor executor;
+  NetworkConfig netcfg;
+  netcfg.charge_latency = false;
+  InProcNetwork network(&executor.clock(), netcfg);
+  const std::string from = ShardMap::EndpointForHost("host-1");
+  const std::string to = ShardMap::EndpointForHost("host-2");
+  ShardMap shards;
+  shards.AddShard(from);
+  KvStore old_master;
+  KvStore new_master;
+  KvsServer old_server(&old_master, &network, from, &shards);
+  KvsServer new_server(&new_master, &network, to, &shards);
+  std::string moving;
+  ShardMap after;
+  after.AddShard(from);
+  after.AddShard(to);
+  for (int i = 0; i < 100000 && moving.empty(); ++i) {
+    std::string probe = "lock-probe-" + std::to_string(i);
+    if (after.MasterFor(probe) == to) {
+      moving = std::move(probe);
+    }
+  }
+  ASSERT_FALSE(moving.empty());
+  ASSERT_TRUE(old_master.Set(moving, Bytes{1}).ok());
+  old_master.FreezeKey(moving);
+
+  KvsClient locker(&network, "host-0", &shards, /*local_store=*/nullptr);
+  Result<bool> acquired = Internal("never ran");
+  executor.Spawn([&] { acquired = locker.TryLockWrite(moving); });
+  executor.Spawn([&] {
+    executor.clock().SleepFor(5 * kMillisecond);  // the lock op bounces meanwhile
+    new_master.InstallKey(moving, old_master.ExportKey(moving));
+    shards.AddShard(to);  // the epoch flip
+    old_master.EraseKey(moving);
+  });
+  executor.JoinAll();
+  ASSERT_TRUE(acquired.ok()) << acquired.status().ToString();
+  EXPECT_TRUE(acquired.value());
+  EXPECT_GT(old_server.write_rpc_count(), 1u);  // redirected, more than once
+  EXPECT_FALSE(new_master.TryLockRead(moving, "host-9").value());  // held on the new master
 }
 
 // --- Central-tier no-op membership behaviour -----------------------------------
@@ -527,6 +575,8 @@ TEST_F(KvsClientTest, ServerRejectsMutatingOpSmuggledIntoReadBatch) {
 TEST_F(KvsClientTest, TrafficIsAccounted) {
   KvsClient client(&network_, "host-0");
   network_.ResetStats();
+  const uint64_t writes_before = server_.write_rpc_count();
+  const uint64_t reads_before = server_.read_rpc_count();
   ASSERT_TRUE(client.Set("key", Bytes(1000)).ok());
   // Request carries at least the 1000-byte value.
   EXPECT_GT(network_.StatsFor("host-0").tx_bytes, 1000u);
@@ -534,6 +584,35 @@ TEST_F(KvsClientTest, TrafficIsAccounted) {
   auto value = client.Read("key");
   ASSERT_TRUE(value.ok());
   EXPECT_GT(network_.total_bytes(), after_set + 1000);  // response carries value
+
+  // A single op is a one-op batch: a remote Set is one kBatch RPC and a
+  // remote Read one kGetBatch RPC. Against the bare op encoding (op byte,
+  // key, args / status byte, payload) each direction pays the one-part
+  // framing plus one byte: the request-kind byte beside the sub-op's own,
+  // and the framing-level status beside the sub-op's.
+  const uint64_t envelope = NetworkConfig{}.per_message_overhead_bytes;
+  const uint64_t framing = FrameOverheadBytes(1) + 1;
+  const uint64_t set_op = 1 + (4 + 3) + (4 + 1000);  // kSet, "key", value
+  const uint64_t get_op = 1 + (4 + 3);               // kGet, "key"
+  const uint64_t status = 1;
+  const uint64_t value_payload = status + 4 + 1000;
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 2u);
+  EXPECT_EQ(network_.StatsFor("host-0").tx_bytes,
+            (set_op + framing + envelope) + (get_op + framing + envelope));
+  EXPECT_EQ(network_.StatsFor("host-0").rx_bytes,
+            (status + framing + envelope) + (value_payload + framing + envelope));
+  EXPECT_EQ(server_.write_rpc_count(), writes_before + 1);
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
+
+  // Size is a read; the existence and warm-set probes are neither a read
+  // nor a write.
+  ASSERT_EQ(client.Size("key").value(), 1000u);
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 2);
+  ASSERT_TRUE(client.Exists("key").value());
+  ASSERT_TRUE(client.SetAdd("warm:f", "host-0").value());
+  ASSERT_EQ(client.SetMembers("warm:f").value(), (std::vector<std::string>{"host-0"}));
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 2);
+  EXPECT_EQ(server_.write_rpc_count(), writes_before + 2);  // the SetAdd
 }
 
 // --- Crash-path error surfacing (ISSUE 9 satellites) ---------------------------

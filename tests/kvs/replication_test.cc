@@ -155,7 +155,7 @@ TEST_F(ReplicationTest, SyncForwardPutsTheWriteOnEveryBackup) {
   EXPECT_EQ(manager.stats().dropped_forward_ops.value(), 0u);
 }
 
-TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndPublicBatchStillRejectsThem) {
+TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndClientWireDiffersOnlyBySeq) {
   ReplicationManager manager(&network_, &map_, &stores_, SyncConfig(2));
   Attach(manager);
 
@@ -173,15 +173,24 @@ TEST_F(ReplicationTest, LockAndSetOpsForwardTooAndPublicBatchStillRejectsThem) {
   EXPECT_EQ(replica->store()->SetMembers(key + ":set"),
             (std::vector<std::string>{"member-a"}));
 
-  // The replica dialect does NOT leak into the public batch protocol: a
-  // public kBatch op still refuses lock sub-ops.
+  // Lock ops ride the client wire too (every client op is a one-op batch),
+  // and a replica-channel sub-op is the client encoding plus the u64 seq
+  // after the key.
   KvsBatchOp op;
   op.op = KvsOp::kLockWrite;
   op.key = key;
   op.member = "host-8";
-  Bytes encoded = EncodeBatchOp(op);
-  auto decoded = DecodeBatchOp(encoded);
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  auto decoded = DecodeBatchOp(EncodeBatchOp(op));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().op, KvsOp::kLockWrite);
+  EXPECT_EQ(decoded.value().key, key);
+  EXPECT_EQ(decoded.value().member, "host-8");
+  EXPECT_EQ(decoded.value().seq, 0u);
+  auto forwarded = DecodeReplicaOp(EncodeReplicaOp(op, 42));
+  ASSERT_TRUE(forwarded.ok()) << forwarded.status().ToString();
+  EXPECT_EQ(forwarded.value().member, "host-8");
+  EXPECT_EQ(forwarded.value().seq, 42u);
+  EXPECT_EQ(EncodeReplicaOp(op, 42).size(), EncodeBatchOp(op).size() + sizeof(uint64_t));
 }
 
 TEST_F(ReplicationTest, SeqFloorDropsDuplicateAndStaleForwards) {
