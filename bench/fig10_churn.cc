@@ -235,6 +235,8 @@ ChurnResult RunHostChurn(bool tiny, StateTier tier) {
       }
     }
     result.seconds = static_cast<double>(cluster.clock().Now() - start) / 1e9;
+    result.migration = cluster.migration_stats();  // at the workload's end, as in RunKill
+    result.final_hosts = cluster.host_count();
   });
 
   // Correctness sweep: acked increments vs final counter values.
@@ -257,8 +259,6 @@ ChurnResult RunHostChurn(bool tiny, StateTier tier) {
   result.p50_ms = latency_ms.Median();
   result.p99_ms = latency_ms.Percentile(99.0);
   result.max_ms = latency_ms.Max();
-  result.migration = cluster.migration_stats();
-  result.final_hosts = cluster.host_count();
   return result;
 }
 
@@ -343,7 +343,7 @@ struct KillResult {
   size_t detected = 0;
   std::vector<double> detect_ms;
   double detect_bound_ms = 0;
-  uint64_t heartbeats = 0;
+  uint64_t heartbeats = 0;  // received during the workload, setup excluded
   uint64_t hints = 0;
   uint64_t false_suspicions = 0;
   size_t ops = 0;
@@ -428,6 +428,11 @@ KillResult RunKill(bool tiny, int replicas, bool sync, bool detect) {
   const std::vector<std::string> victims = {"host-1", "host-3", "host-0"};
   cluster.Run([&](Frontend& frontend) {
     const TimeNs start = cluster.clock().Now();
+    // Heartbeats count from here: setup ran on the unregistered main
+    // thread, where the heartbeating activities free-run the clock for as
+    // long as it takes in wall time.
+    const uint64_t heartbeats_before =
+        cluster.failure_detector() != nullptr ? cluster.failure_detector()->heartbeats_seen() : 0;
     for (const std::string& victim : victims) {
       // A batch of mixed ops in flight, then the kill lands in the middle of
       // it: some ops are already done, some are executing on the victim
@@ -517,6 +522,22 @@ KillResult RunKill(bool tiny, int replicas, bool sync, bool detect) {
       }
     }
     result.seconds = static_cast<double>(cluster.clock().Now() - start) / 1e9;
+    // Snapshot the stats at the workload's end, before the sweeps below
+    // run on the unregistered main thread.
+    if (const FailureDetector* detector = cluster.failure_detector()) {
+      result.detected = detector->death_count();
+      result.heartbeats = detector->heartbeats_seen() - heartbeats_before;
+      result.hints = detector->hints();
+      result.false_suspicions = detector->false_suspicions();
+    }
+    result.failover = cluster.failover_stats();
+    if (cluster.replication() != nullptr) {
+      const ReplicationStats& stats = cluster.replication()->stats();
+      result.forwarded_ops = stats.forwarded_ops.value();
+      result.forward_rpcs = stats.forward_rpcs.value();
+      result.dropped_forwards = stats.dropped_forward_ops.value();
+    }
+    result.final_epoch = cluster.shard_map().epoch();
   });
 
   // Acked-update sweep: every acked increment must be in the tier exactly
@@ -542,22 +563,6 @@ KillResult RunKill(bool tiny, int replicas, bool sync, bool detect) {
   for (const std::string& shard : shards) {
     result.all_shards_live = result.all_shards_live && live_shards.count(shard) > 0;
   }
-
-  if (cluster.failure_detector() != nullptr) {
-    const FailureDetector* detector = cluster.failure_detector();
-    result.detected = detector->death_count();
-    result.heartbeats = detector->heartbeats_seen();
-    result.hints = detector->hints();
-    result.false_suspicions = detector->false_suspicions();
-  }
-  result.failover = cluster.failover_stats();
-  if (cluster.replication() != nullptr) {
-    const ReplicationStats& stats = cluster.replication()->stats();
-    result.forwarded_ops = stats.forwarded_ops.value();
-    result.forward_rpcs = stats.forward_rpcs.value();
-    result.dropped_forwards = stats.dropped_forward_ops.value();
-  }
-  result.final_epoch = cluster.shard_map().epoch();
   return result;
 }
 

@@ -5,7 +5,7 @@
 // hashing; each round one function call drops its local replicas and
 // re-pulls EVERY value — through LocalTier::Prefetch (grouped: at most one
 // kGetBatch RPC per master endpoint, and with the read cache on, zero RPCs
-// for leased repeats) or one sizing + fetch round trip per key
+// for leased repeats) or one whole-value read round trip per remote key
 // (--read-batch=off). The columns must show fewer cross-host pull RPCs at
 // ZERO bad reads: every pulled byte is checked against its seeded pattern,
 // so a stale or torn serve counts against the column.

@@ -5,10 +5,12 @@
 namespace faasm {
 
 namespace {
-// Upper bound on a single value's extent. Offsets come straight off the wire
-// in the range ops; without a bound an overflowing (or merely huge) offset
-// would corrupt memory or force an absurd resize.
-constexpr size_t kMaxValueBytes = size_t{1} << 34;  // 16 GiB
+// Upper bound on the value size a range write may leave. Its offset comes
+// straight off the wire, so without a cap one ~30-byte kSetRange could
+// resize a value to gigabytes. The largest value any workload or bench
+// writes is fig8's full-scale 768x768 double matrix (4.5 MiB; fig6's
+// full-scale `sgd:vals` is 4 MiB), so 64 MiB leaves 14x headroom.
+constexpr size_t kMaxValueBytes = size_t{64} << 20;
 
 bool RangeIsSane(size_t offset, size_t len) {
   return offset <= kMaxValueBytes && len <= kMaxValueBytes - offset;
@@ -270,7 +272,7 @@ Status KvStore::SetRange(const std::string& key, size_t offset, const Bytes& byt
 Status KvStore::SetRangeLocked(Shard& shard, const std::string& key, size_t offset,
                                const Bytes& bytes) {
   if (!RangeIsSane(offset, bytes.size())) {
-    return InvalidArgument("kvs: range write exceeds maximum value size");
+    return OutOfRange("kvs: range write exceeds maximum value size");
   }
   Bytes& value = shard.values[key];
   if (value.size() < offset + bytes.size()) {
@@ -292,7 +294,7 @@ Status KvStore::SetRangesLocked(Shard& shard, const std::string& key,
                                 const std::vector<ValueRange>& ranges) {
   for (const ValueRange& range : ranges) {
     if (!RangeIsSane(range.offset, range.bytes.size())) {
-      return InvalidArgument("kvs: range write exceeds maximum value size");
+      return OutOfRange("kvs: range write exceeds maximum value size");
     }
   }
   Bytes& value = shard.values[key];

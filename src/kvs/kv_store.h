@@ -206,7 +206,9 @@ class KvStore {
   Result<size_t> Size(const std::string& key) const;
   Status Delete(const std::string& key);
 
-  // Ranged access (state chunks). SetRange extends the value when needed.
+  // Ranged access (state chunks). SetRange extends the value when needed;
+  // a range write ending past the store's 64 MiB value cap (sized in
+  // kv_store.cc) answers kOutOfRange and allocates nothing.
   Result<Bytes> GetRange(const std::string& key, size_t offset, size_t len) const;
   Status SetRange(const std::string& key, size_t offset, const Bytes& bytes);
   // Applies all ranges atomically under one shard lock (delta push: the N

@@ -84,27 +84,38 @@ Status StateKeyValue::FetchRange(size_t offset, size_t len) {
     options.len = len;
   }
   FAASM_ASSIGN_OR_RETURN(Bytes chunk, kvs_->Read(key_, options));
-  if (chunk.size() > len) {
-    chunk.resize(len);  // whole-value read of a value grown since sizing
-  }
-  if (offset + chunk.size() > region_->mapped_size()) {
+  return InstallFetched(offset, len, chunk);
+}
+
+Status StateKeyValue::InstallFetched(size_t offset, size_t len, const Bytes& bytes) {
+  // A reply longer than the range is a value grown since sizing; a shorter
+  // one is a value shorter than the replica.
+  const size_t copied = std::min(len, bytes.size());
+  if (offset + copied > region_->mapped_size()) {
     return Internal("state fetch larger than replica");
   }
   // Dirty lines hold unpushed local writes (e.g. whole lines written into a
   // page the replica never pulled); the fetched bytes fill only the clean
   // lines around them.
-  const std::vector<DirtyRun> dirty = region_->dirty().CollectDirtyRuns(offset, chunk.size());
+  const std::vector<DirtyRun> dirty = region_->dirty().CollectDirtyRuns(offset, copied);
   LockWrite();
   size_t cursor = offset;
   auto copy_to = [&](size_t end) {
-    std::memcpy(region_->host_view() + cursor, chunk.data() + (cursor - offset), end - cursor);
+    std::memcpy(region_->host_view() + cursor, bytes.data() + (cursor - offset), end - cursor);
   };
   for (const DirtyRun& run : dirty) {
     copy_to(run.offset);
     cursor = run.offset + run.len;
   }
-  copy_to(offset + chunk.size());
+  copy_to(offset + copied);
   UnlockWrite();
+  if (len > 0) {
+    std::lock_guard<std::mutex> guard(pages_mutex_);
+    const size_t end_page = std::min((offset + len - 1) / kStatePageBytes + 1, page_present_.size());
+    for (size_t page = offset / kStatePageBytes; page < end_page; ++page) {
+      page_present_[page] = true;
+    }
+  }
   return OkStatus();
 }
 
@@ -115,6 +126,15 @@ Status StateKeyValue::Pull() {
   if (pulled_fresh_.exchange(false)) {
     return OkStatus();  // a Prefetch installed the value since the last invalidation
   }
+  if (resident_pages() == 0) {
+    // Cold: one whole-value read, sized by its reply. It takes the read
+    // cache or a co-located backup when either can serve it.
+    FAASM_ASSIGN_OR_RETURN(Bytes value, kvs_->Read(key_));
+    FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
+    return InstallFetched(0, value.size(), value);
+  }
+  // Warm or partial: the size check catches growth, then only the missing
+  // pages are fetched.
   FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
   FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
   return PullChunk(0, global_size);
@@ -122,14 +142,8 @@ Status StateKeyValue::Pull() {
 
 Status StateKeyValue::InstallPulled(const Bytes& value) {
   FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
-  LockWrite();
-  std::memcpy(region_->host_view(), value.data(), value.size());
-  UnlockWrite();
-  {
-    std::lock_guard<std::mutex> guard(pages_mutex_);
-    std::fill(page_present_.begin(), page_present_.end(), false);
-    MarkPushedRangePresentLocked(0, value.size());
-  }
+  InvalidateReplica();
+  FAASM_RETURN_IF_ERROR(InstallFetched(0, value.size(), value));
   pulled_fresh_.store(true, std::memory_order_release);
   return OkStatus();
 }
@@ -166,12 +180,6 @@ Status StateKeyValue::PullChunk(size_t offset, size_t len) {
       const size_t byte_start = run_start * kStatePageBytes;
       const size_t byte_end = std::min(size_, page * kStatePageBytes);
       FAASM_RETURN_IF_ERROR(FetchRange(byte_start, byte_end - byte_start));
-      {
-        std::lock_guard<std::mutex> guard(pages_mutex_);
-        for (size_t p = run_start; p < page; ++p) {
-          page_present_[p] = true;
-        }
-      }
       run_start = SIZE_MAX;
     }
   }

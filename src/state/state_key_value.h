@@ -16,8 +16,14 @@
 //
 //   Pull  — page-granular presence tracking (`page_present_`): only missing
 //           state pages are fetched, so sparse readers (e.g. the SGD matrix
-//           column slices) transfer only what they read. Fetches go through
-//           the client's unified read API (KvsClient::Read), so whole-value
+//           column slices) transfer only what they read. A cold pull (no
+//           page present: a fresh replica, one after InvalidateReplica, or
+//           one whose lock refresh kept no dirty page) is ONE whole-value
+//           read sized by its reply, so it costs one round trip, or none
+//           when the read cache or a co-located backup serves it. A warm or
+//           partial pull first checks the global size (the growth check),
+//           then fetches only the missing pages. Fetches go through the
+//           client's unified read API (KvsClient::Read), so whole-value
 //           pulls are served by (and refresh) the per-host read cache when
 //           one is enabled, and multi-key prefetches group into kGetBatch
 //           RPCs (LocalTier::Prefetch → InstallPulled).
@@ -127,9 +133,9 @@
 //     still hold bytes the replica never pulled, and must stay fetchable.
 //   - A fetch never overwrites dirty lines: when a page holding unpushed
 //     local writes is (re)fetched — after a whole-line write to a page the
-//     replica never pulled, or after InvalidateReplica — the fetched global
-//     bytes fill only its clean lines. Prefetch installs (InstallPulled) are
-//     the exception and replace everything.
+//     replica never pulled, after InvalidateReplica, or by a Prefetch
+//     install — the fetched global bytes fill only its clean lines, and the
+//     next push ships the local bytes.
 //
 // Local consistency uses a clock-aware readers/writer lock; global
 // consistency uses the KVS distributed locks.
@@ -212,15 +218,16 @@ class StateKeyValue {
   void UnlockWrite() { local_lock_.UnlockWrite(); }
 
   // --- Two-tier synchronisation ------------------------------------------------
-  // Pull the whole value; allocates the replica at the global size if needed.
-  // No-op (beyond a size check) if every page is already present, and a pure
-  // no-op when a Prefetch already installed the value since the last
-  // invalidation.
+  // Pull the whole value. With no page present this is one whole-value read
+  // that allocates the replica at the reply's size (never a separate size
+  // RPC); otherwise a size check, then a fetch of only the missing pages
+  // (no-op beyond the size check when every page is present). A pure no-op
+  // when a Prefetch already installed the value since the last invalidation.
   Status Pull();
   // Installs a complete value fetched out of band (the batched-prefetch
-  // path, LocalTier::Prefetch): a wholesale refresh equivalent to
-  // InvalidateReplica() + Pull() — every page is replaced, including pages
-  // holding unpushed local writes. The next Pull() is then free.
+  // path, LocalTier::Prefetch), equivalent to InvalidateReplica() + Pull():
+  // every clean line is replaced and dirty lines keep their unpushed local
+  // writes. The next Pull() is then free.
   Status InstallPulled(const Bytes& value);
   // Pull only [offset, offset+len); fetches just the missing state pages.
   Status PullChunk(size_t offset, size_t len);
@@ -262,9 +269,13 @@ class StateKeyValue {
     WaitQueue acked;             // notified once done is set
   };
 
-  // Fetches [offset,len) from the global tier into the replica, leaving
-  // dirty lines (unpushed local writes) untouched.
+  // Fetches [offset,len) from the global tier and installs it.
   Status FetchRange(size_t offset, size_t len);
+  // The one install of fetched global bytes for [offset, offset+len): fills
+  // only clean lines (dirty lines hold unpushed local writes) and marks every
+  // page the range touches present. Extra reply bytes are dropped; a short
+  // reply fills what it holds.
+  Status InstallFetched(size_t offset, size_t len, const Bytes& bytes);
 
   // Batched-push tail of Push(): enqueues the merged ranges into the
   // client's ambient batch; flushes immediately (and waits for this op's

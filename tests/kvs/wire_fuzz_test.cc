@@ -67,18 +67,13 @@ std::vector<KvsBatchOp> EveryOpKind() {
   return ops;
 }
 
-// Sub-ops for the handlers, which EXECUTE what they decode. Range writes
-// are left out: the store accepts offsets up to its 16 GiB value cap, so a
-// mutated offset byte would make the test allocate gigabytes. Value bytes
-// 1..3 are nonzero so a mutated op byte that reinterprets a value as an
-// offset lands far past that cap and is refused.
+// Sub-ops for the handlers, which EXECUTE what they decode. The store caps
+// a value at 64 MiB, so a mutated offset byte of a range write allocates at
+// most ~16 MiB (byte 2 of the little-endian offset) and anything higher is
+// refused. Value bytes 1..3 are nonzero so a mutated op byte that
+// reinterprets a value as an offset lands far past that cap.
 std::vector<KvsBatchOp> ExecutableOps() {
-  std::vector<KvsBatchOp> ops;
-  for (const KvsBatchOp& op : EveryOpKind()) {
-    if (op.op != KvsOp::kSetRange && op.op != KvsOp::kSetRanges) {
-      ops.push_back(op);
-    }
-  }
+  std::vector<KvsBatchOp> ops = EveryOpKind();
   for (KvsBatchOp& op : ops) {
     if (!op.bytes.empty()) {
       op.bytes = Bytes{0x51, 0x52, 0x53, 0x54, 0x55};
@@ -191,6 +186,58 @@ TEST(KvsWireFuzzTest, ReplicaServerAnswersHostileRequestsWithTypedStatuses) {
     parts.push_back(EncodeReplicaOp(op, ++seq));
   }
   FuzzHandler(network, server.endpoint(), {Request(KvsOp::kBatch, parts), InstallRequestFrame()});
+}
+
+// One batch of `ops` to `endpoint`; returns each sub-op's status code.
+std::vector<StatusCode> SubOpCodes(InProcNetwork& network, const std::string& endpoint,
+                                   const std::vector<Bytes>& ops) {
+  auto response = network.Call("fuzzer", endpoint, Request(KvsOp::kBatch, ops));
+  EXPECT_TRUE(response.ok());
+  std::vector<StatusCode> codes;
+  if (!response.ok()) {
+    return codes;
+  }
+  ByteReader reader(response.value());
+  EXPECT_EQ(reader.Get<uint8_t>().value(), static_cast<uint8_t>(StatusCode::kOk));
+  auto parts = ReadFrameBatch(reader);
+  EXPECT_TRUE(parts.ok());
+  for (const Bytes& part : parts.value()) {
+    codes.push_back(static_cast<StatusCode>(part.at(0)));
+  }
+  return codes;
+}
+
+// Range writes at offset 2^33: a ~30-byte request that, uncapped, would
+// resize the value to 8 GiB. Both servers refuse each with kOutOfRange and
+// leave no value behind.
+std::vector<KvsBatchOp> HugeOffsetWrites() {
+  constexpr uint64_t kHugeOffset = uint64_t{1} << 33;
+  return {{.op = KvsOp::kSetRange, .key = "huge", .offset = kHugeOffset, .bytes = Bytes{1}},
+          {.op = KvsOp::kSetRanges,
+           .key = "huge",
+           .ranges = {ValueRange{0, Bytes{2}}, ValueRange{kHugeOffset, Bytes{3}}}}};
+}
+
+TEST(KvsWireFuzzTest, RangeWritesPastTheValueCapAreRefusedOnBothServers) {
+  RealClock clock;
+  InProcNetwork network(&clock, NoLatency());
+  KvStore store;
+  KvsServer server(&store, &network);
+  ReplicaShard shard;
+  ReplicaServer replica(&shard, &network, "rep:host-1");
+
+  std::vector<Bytes> client_ops;
+  std::vector<Bytes> replica_ops;
+  uint64_t seq = 0;
+  for (const KvsBatchOp& op : HugeOffsetWrites()) {
+    client_ops.push_back(EncodeBatchOp(op));
+    replica_ops.push_back(EncodeReplicaOp(op, ++seq));
+  }
+  const std::vector<StatusCode> refused(2, StatusCode::kOutOfRange);
+  EXPECT_EQ(SubOpCodes(network, server.endpoint(), client_ops), refused);
+  EXPECT_EQ(SubOpCodes(network, replica.endpoint(), replica_ops), refused);
+  EXPECT_EQ(store.Size("huge").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(shard.store()->Size("huge").status().code(), StatusCode::kNotFound);
 }
 
 void FuzzSubOpDecoder(const std::function<Bytes(const KvsBatchOp&)>& encode,

@@ -92,8 +92,8 @@ TEST_F(ReadPathTest, PrefetchCostsAtMostOneRpcPerMasterHostAndMakesPullFree) {
 
   // THE read-side acceptance bound: K keys mastered on M hosts cost at most
   // M-1 grouped read RPCs (this host's own group runs in process), although
-  // `remote_keys` > M-1 keys crossed shards — previously each key's Pull
-  // paid its own sizing + fetch round trips.
+  // `remote_keys` > M-1 keys crossed shards — a cold Pull per key would pay
+  // one round trip each.
   const uint64_t prefetch_rpcs = TxMessages();
   EXPECT_LE(prefetch_rpcs, uint64_t{kHosts - 1});
   EXPECT_GE(prefetch_rpcs, 1u);
@@ -121,12 +121,39 @@ TEST_F(ReadPathTest, PrefetchFallsBackToPerKeyPullsWhenReadBatchingOff) {
   kvs_->set_read_batching(false);  // the --read-batch=off ablation
   network_.ResetStats();
   ASSERT_TRUE(tier_->Prefetch(keys).ok());
-  // Every key paid its own pull (sizing + fetch): at least one RPC per key,
-  // strictly more than the grouped protocol's M-1 bound.
+  // Every key paid its own pull (one whole-value read): at least one RPC per
+  // key, strictly more than the grouped protocol's M-1 bound.
   EXPECT_GE(TxMessages(), uint64_t{kKeys});
   for (int i = 0; i < kKeys; ++i) {
     EXPECT_EQ(tier_->Lookup(keys[i])->data()[0], uint8_t(i));
   }
+}
+
+TEST_F(ReadPathTest, PrefetchKeepsUnpushedLocalWrites) {
+  // A Prefetch install is InvalidateReplica() + Pull(): clean lines take the
+  // master's bytes, dirty lines keep the unpushed local write, and the next
+  // push ships the local bytes rather than the global ones.
+  const std::string key = RemoteKey("prefetch-dirty");
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage * 2, 0x0A)).ok());
+  auto kv = tier_->Lookup(key);
+  ASSERT_TRUE(kv->Pull().ok());
+  uint8_t* dst = kv->WritableData(0, kPage);
+  ASSERT_NE(dst, nullptr);
+  std::memset(dst, 0xBB, kPage);
+
+  ASSERT_TRUE(ShardMastering(key).Set(key, Bytes(kPage * 2, 0x0C)).ok());
+  ASSERT_TRUE(tier_->Prefetch({key}).ok());
+  EXPECT_EQ(kv->data()[0], 0xBB);      // unpushed write kept
+  EXPECT_EQ(kv->data()[kPage], 0x0C);  // clean page refreshed
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(TxMessages(), 0u);  // the install made the next pull free
+
+  ASSERT_TRUE(kv->Push().ok());
+  const Bytes global = ShardMastering(key).Get(key).value();
+  EXPECT_EQ(global[0], 0xBB);
+  EXPECT_EQ(global[kPage - 1], 0xBB);
+  EXPECT_EQ(global[kPage], 0x0C);
 }
 
 TEST_F(ReadPathTest, CachedPullServesRepeatsButNeverMasksOwnWrites) {

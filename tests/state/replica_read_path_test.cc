@@ -109,6 +109,32 @@ TEST(ReplicaReadPathTest, BackupHostServesReadsWithZeroNetworkBytes) {
   });
 }
 
+TEST(ReplicaReadPathTest, ColdPullOfBackedKeyCostsNoRpc) {
+  ClusterConfig config;
+  config.hosts = 4;
+  config.replication_factor = 2;
+  FaasmCluster cluster(config);
+
+  const HeldKey held = FindHeldKey(cluster);
+  ASSERT_TRUE(cluster.kvs().Set(held.key, Bytes{4, 5, 6}).ok());
+
+  cluster.Run([&](Frontend&) {
+    FaasmInstance& backup = cluster.host(HostIndex(cluster, held.backup_host));
+    const uint64_t rpcs_before = TotalReadRpcs(cluster);
+    const uint64_t bytes_before = cluster.network_bytes();
+
+    // A cold pull is one whole-value read, which the backup's own certified
+    // mirror answers in process: no sizing RPC, no master read RPC.
+    auto kv = backup.tier().Lookup(held.key);
+    ASSERT_TRUE(kv->Pull().ok());
+    EXPECT_EQ(TotalReadRpcs(cluster), rpcs_before);
+    EXPECT_EQ(cluster.network_bytes(), bytes_before);
+    EXPECT_EQ(backup.kvs().replica_served_count(), 1u);
+    EXPECT_EQ(kv->size(), 3u);
+    EXPECT_EQ(kv->data()[2], 6);
+  });
+}
+
 TEST(ReplicaReadPathTest, MembershipChangeInvalidatesUntilReconciled) {
   ClusterConfig config;
   config.hosts = 4;

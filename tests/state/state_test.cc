@@ -91,6 +91,107 @@ TEST_F(StateTest, PullAfterInvalidateRefetches) {
   EXPECT_EQ(kv->data()[0], 0x33);
 }
 
+TEST_F(StateTest, ColdPullIsOneWholeValueRead) {
+  // No page present: one whole-value read sized by its reply, never a
+  // separate size RPC. That one RPC carries the value, so it is the read.
+  constexpr size_t kSize = 3 * StateKeyValue::kStatePageBytes;
+  SeedGlobal("k", kSize, 0x5A);
+  auto kv = tier_.Lookup("k");
+  network_.ResetStats();
+  uint64_t reads_before = server_.read_rpc_count();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
+  EXPECT_EQ(kv->size(), kSize);
+  EXPECT_EQ(kv->resident_pages(), 3u);
+  EXPECT_EQ(kv->data()[kSize - 1], 0x5A);
+
+  // Invalidated, and refreshed under a lock with no dirty page: both cold.
+  kv->InvalidateReplica();
+  reads_before = server_.read_rpc_count();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
+  ASSERT_TRUE(kv->LockGlobalRead().ok());
+  EXPECT_EQ(kv->resident_pages(), 0u);
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
+  ASSERT_TRUE(kv->UnlockGlobalRead().ok());
+}
+
+TEST_F(StateTest, WarmPullCostsOneSizeCheck) {
+  SeedGlobal("k", 2 * StateKeyValue::kStatePageBytes, 0x01);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->Pull().ok());
+  network_.ResetStats();
+  const uint64_t reads_before = server_.read_rpc_count();
+  ASSERT_TRUE(kv->Pull().ok());
+  // Every page present: the growth check is the whole cost; no value bytes.
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
+  EXPECT_LT(network_.total_bytes(), 256u);
+}
+
+TEST_F(StateTest, ColdPullKeepsWholeLineLocalWrite) {
+  // A whole-line write into a never-pulled page pulls nothing, so the next
+  // Pull() is cold; its install fills only the clean lines around the write.
+  constexpr size_t kLine = StateKeyValue::kStateLineBytes;
+  constexpr size_t kPage = StateKeyValue::kStatePageBytes;
+  SeedGlobal("k", 2 * kPage, 0xAA);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->EnsureCapacity(2 * kPage).ok());
+  uint8_t* line = kv->WritableData(kLine, kLine);
+  ASSERT_NE(line, nullptr);
+  std::memset(line, 0xBB, kLine);
+  ASSERT_EQ(kv->resident_pages(), 0u);
+  const uint64_t reads_before = server_.read_rpc_count();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
+  EXPECT_EQ(kv->resident_pages(), 2u);
+  EXPECT_EQ(kv->data()[kLine - 1], 0xAA);
+  EXPECT_EQ(kv->data()[kLine], 0xBB);
+  EXPECT_EQ(kv->data()[2 * kLine - 1], 0xBB);
+  EXPECT_EQ(kv->data()[2 * kLine], 0xAA);
+  EXPECT_EQ(kv->data()[kPage], 0xAA);
+
+  ASSERT_TRUE(kv->Push().ok());
+  auto global = store_.Get("k").value();
+  EXPECT_EQ(global[kLine - 1], 0xAA);
+  EXPECT_EQ(global[kLine], 0xBB);
+  EXPECT_EQ(global[2 * kLine], 0xAA);
+}
+
+TEST_F(StateTest, ColdPullOfMissingKeyAllocatesNothing) {
+  auto kv = tier_.Lookup("absent");
+  EXPECT_EQ(kv->Pull().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(kv->allocated());
+}
+
+TEST_F(StateTest, ValueShorterThanCapacityPullsItsOwnLength) {
+  // get_state sizes the replica before the first pull; a shorter global
+  // value moves only its own bytes and leaves the rest of the replica alone.
+  constexpr size_t kValue = StateKeyValue::kStatePageBytes + 100;
+  SeedGlobal("k", kValue, 0x44);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->EnsureCapacity(3 * StateKeyValue::kStatePageBytes).ok());
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
+  EXPECT_GE(network_.total_bytes(), kValue);
+  EXPECT_LT(network_.total_bytes(), kValue + 256);
+  EXPECT_EQ(kv->size(), 3 * StateKeyValue::kStatePageBytes);
+  EXPECT_EQ(kv->resident_pages(), 2u);
+  EXPECT_EQ(kv->data()[kValue - 1], 0x44);
+  EXPECT_EQ(kv->data()[kValue], 0x00);
+
+  // The value's tail page counts as present: the warm re-pull is the size
+  // check alone.
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
+  EXPECT_LT(network_.total_bytes(), 256u);
+}
+
 TEST_F(StateTest, PushChunkWritesRange) {
   SeedGlobal("k", 8192, 0x00);
   auto kv = tier_.Lookup("k");
