@@ -20,8 +20,8 @@
 // re-pulled every round through grouped kGetBatch prefetches, per-key pulls
 // (batch off), and the leased per-host read cache — written as the CI
 // artifact BENCH_read.json. Gates: zero bad reads everywhere, >=3x fewer
-// cross-host pull RPCs grouped vs per-key, >=90% cache hit rate on the
-// hot working set:
+// cross-host pull RPCs grouped vs per-key (>=1.5x at --tiny), >=90% cache
+// hit rate on the hot working set:
 //
 //   fig9_micro --read-batch [--tiny] [--read-json BENCH_read.json]
 //
@@ -228,13 +228,17 @@ bool WriteReadJson(const std::string& path, bool tiny, const ReadMicroConfig& co
 
 // Returns 0 when the read-path gates hold: zero bad reads in every column,
 // grouped prefetches cut cross-host pull RPCs by at least 3x vs per-key
-// pulls, and the leased cache serves at least 90% of hot-key lookups.
+// pulls (1.5x at --tiny), and the leased cache serves at least 90% of
+// hot-key lookups.
 //
-// The RPC counts are deterministic. Both columns use the same pull protocol
-// (a cold pull is one whole-value read, no sizing RPC), so the ratio credits
-// grouping alone: 480 vs 144 (3.33x) at --tiny, 1152 vs 144 (8x) at full
-// scale. The 3x bound leaves a 10% margin at --tiny and fails whenever
-// grouping stops cutting RPCs (grouped >= per-key).
+// The RPC counts are deterministic, and the ratio credits grouping alone: a
+// round costs one whole-value read per remote key in the per-key column and
+// one kGetBatch per remote master in the grouped one, and the loop's second
+// Pull() of a fully resident replica sends nothing in either. Per round on 4
+// hosts that is 12 remote keys vs 3 masters at full scale (576 vs 144, 4x)
+// and 5 remote keys vs 3 masters at --tiny (240 vs 144, 1.67x). Each bound
+// leaves a margin of 10% or more and fails whenever grouping stops cutting
+// RPCs (grouped >= per-key).
 int RunStateReadMicroMode(bool tiny, const std::string& json_path) {
   PrintHeader("Read micro: grouped (kGetBatch) + cached vs per-key pulls");
   const ReadMicroConfig grouped_config = ReadMicroConfig::ForScale(tiny, true, false);
@@ -264,9 +268,10 @@ int RunStateReadMicroMode(bool tiny, const std::string& json_path) {
                  static_cast<unsigned long long>(cached.bad_reads));
     return 1;
   }
-  if (grouped.pull_rpcs * 3 > per_key.pull_rpcs) {
-    std::fprintf(stderr, "FAIL: grouped reads did not cut pull RPCs 3x (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(grouped.pull_rpcs),
+  const double bound = tiny ? 1.5 : 3.0;
+  if (static_cast<double>(grouped.pull_rpcs) * bound > static_cast<double>(per_key.pull_rpcs)) {
+    std::fprintf(stderr, "FAIL: grouped reads did not cut pull RPCs %.1fx (%llu vs %llu)\n",
+                 bound, static_cast<unsigned long long>(grouped.pull_rpcs),
                  static_cast<unsigned long long>(per_key.pull_rpcs));
     return 1;
   }

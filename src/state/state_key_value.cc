@@ -113,7 +113,7 @@ Status StateKeyValue::InstallFetched(size_t offset, size_t len, const Bytes& byt
     std::lock_guard<std::mutex> guard(pages_mutex_);
     const size_t end_page = std::min((offset + len - 1) / kStatePageBytes + 1, page_present_.size());
     for (size_t page = offset / kStatePageBytes; page < end_page; ++page) {
-      page_present_[page] = true;
+      SetPresentLocked(page, true);
     }
   }
   return OkStatus();
@@ -126,25 +126,46 @@ Status StateKeyValue::Pull() {
   if (pulled_fresh_.exchange(false)) {
     return OkStatus();  // a Prefetch installed the value since the last invalidation
   }
-  if (resident_pages() == 0) {
+  std::unique_lock<std::mutex> pages_guard(pages_mutex_);
+  const size_t resident = present_pages_;
+  const size_t pages = page_present_.size();
+  pages_guard.unlock();
+  if (resident == 0) {
     // Cold: one whole-value read, sized by its reply. It takes the read
     // cache or a co-located backup when either can serve it.
     FAASM_ASSIGN_OR_RETURN(Bytes value, kvs_->Read(key_));
-    FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
-    return InstallFetched(0, value.size(), value);
+    return InstallValue(value);
   }
-  // Warm or partial: the size check catches growth, then only the missing
-  // pages are fetched.
+  if (resident == pages) {
+    return OkStatus();  // warm: every page is local, so there is nothing to fetch
+  }
+  // Partial: size the value, then fetch only the missing pages.
   FAASM_ASSIGN_OR_RETURN(uint64_t global_size, kvs_->Size(key_));
   FAASM_RETURN_IF_ERROR(EnsureCapacity(global_size));
+  {
+    // Grown since the last install: the page holding the old end is present
+    // but stops at the old length, so it is refetched (its dirty lines stay).
+    std::lock_guard<std::mutex> guard(pages_mutex_);
+    if (global_size > value_len_ && value_len_ % kStatePageBytes != 0) {
+      SetPresentLocked(value_len_ / kStatePageBytes, false);
+    }
+    value_len_ = global_size;
+  }
   return PullChunk(0, global_size);
 }
 
 Status StateKeyValue::InstallPulled(const Bytes& value) {
-  FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
   InvalidateReplica();
-  FAASM_RETURN_IF_ERROR(InstallFetched(0, value.size(), value));
+  FAASM_RETURN_IF_ERROR(InstallValue(value));
   pulled_fresh_.store(true, std::memory_order_release);
+  return OkStatus();
+}
+
+Status StateKeyValue::InstallValue(const Bytes& value) {
+  FAASM_RETURN_IF_ERROR(EnsureCapacity(value.size()));
+  FAASM_RETURN_IF_ERROR(InstallFetched(0, value.size(), value));
+  std::lock_guard<std::mutex> guard(pages_mutex_);
+  value_len_ = value.size();
   return OkStatus();
 }
 
@@ -331,7 +352,7 @@ void StateKeyValue::MarkPushedRangePresentLocked(size_t offset, size_t len) {
     if (page_end > end) {
       break;
     }
-    page_present_[p] = true;
+    SetPresentLocked(p, true);
   }
 }
 
@@ -378,6 +399,7 @@ void StateKeyValue::RefreshForLock() {
   std::vector<DirtyRun> dirty = region_->dirty().CollectDirtyRuns();
   std::lock_guard<std::mutex> guard(pages_mutex_);
   std::fill(page_present_.begin(), page_present_.end(), false);
+  present_pages_ = 0;
   for (const DirtyRun& run : dirty) {
     if (run.len == 0 || run.offset >= size_) {
       continue;
@@ -385,7 +407,7 @@ void StateKeyValue::RefreshForLock() {
     const size_t first = run.offset / kStatePageBytes;
     const size_t last = (run.offset + run.len - 1) / kStatePageBytes;
     for (size_t p = first; p <= last && p < page_present_.size(); ++p) {
-      page_present_[p] = true;
+      SetPresentLocked(p, true);
     }
   }
 }
@@ -405,15 +427,17 @@ void StateKeyValue::InvalidateReplica() {
   pulled_fresh_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> guard(pages_mutex_);
   std::fill(page_present_.begin(), page_present_.end(), false);
+  present_pages_ = 0;
 }
 
 size_t StateKeyValue::resident_pages() const {
   std::lock_guard<std::mutex> guard(pages_mutex_);
-  size_t count = 0;
-  for (bool present : page_present_) {
-    count += present ? 1 : 0;
-  }
-  return count;
+  return present_pages_;
+}
+
+void StateKeyValue::SetPresentLocked(size_t page, bool present) {
+  present_pages_ = present_pages_ + present - page_present_[page];
+  page_present_[page] = present;
 }
 
 }  // namespace faasm

@@ -20,13 +20,16 @@
 //           page present: a fresh replica, one after InvalidateReplica, or
 //           one whose lock refresh kept no dirty page) is ONE whole-value
 //           read sized by its reply, so it costs one round trip, or none
-//           when the read cache or a co-located backup serves it. A warm or
-//           partial pull first checks the global size (the growth check),
-//           then fetches only the missing pages. Fetches go through the
-//           client's unified read API (KvsClient::Read), so whole-value
-//           pulls are served by (and refresh) the per-host read cache when
-//           one is enabled, and multi-key prefetches group into kGetBatch
-//           RPCs (LocalTier::Prefetch → InstallPulled).
+//           when the read cache or a co-located backup serves it. A warm
+//           pull (every page present) sends nothing and sees nothing new:
+//           another host's writes and growth show at the next cold pull
+//           (after InvalidateReplica or a global lock's refresh). A partial
+//           pull checks the size, refetches the old end's page if the value
+//           grew, then fetches only the missing pages. Fetches go
+//           through the client's unified read API (KvsClient::Read), so
+//           whole-value pulls are served by (and refresh) the per-host read
+//           cache when one is enabled, and multi-key prefetches group into
+//           kGetBatch RPCs (LocalTier::Prefetch → InstallPulled).
 //   Push  — line-granular dirty tracking (the SharedRegion's DirtyTracker,
 //           kStateLineBytes = 1 KiB lines): writers that go through
 //           WritableData()/MarkDirty() — the host interface, the DDOs, and
@@ -218,11 +221,11 @@ class StateKeyValue {
   void UnlockWrite() { local_lock_.UnlockWrite(); }
 
   // --- Two-tier synchronisation ------------------------------------------------
-  // Pull the whole value. With no page present this is one whole-value read
-  // that allocates the replica at the reply's size (never a separate size
-  // RPC); otherwise a size check, then a fetch of only the missing pages
-  // (no-op beyond the size check when every page is present). A pure no-op
-  // when a Prefetch already installed the value since the last invalidation.
+  // Pull the whole value. Cold (no page present): one whole-value read that
+  // sizes the replica from its reply. Warm (every page present, or a Prefetch
+  // install since the last invalidation): sends nothing and keeps the size
+  // and bytes held. Partial: a size check, then a fetch of the missing pages
+  // and, if the value grew, of the page holding its old end.
   Status Pull();
   // Installs a complete value fetched out of band (the batched-prefetch
   // path, LocalTier::Prefetch), equivalent to InvalidateReplica() + Pull():
@@ -271,6 +274,8 @@ class StateKeyValue {
 
   // Fetches [offset,len) from the global tier and installs it.
   Status FetchRange(size_t offset, size_t len);
+  // Sizes the replica to a fetched whole value and installs it.
+  Status InstallValue(const Bytes& value);
   // The one install of fetched global bytes for [offset, offset+len): fills
   // only clean lines (dirty lines hold unpushed local writes) and marks every
   // page the range touches present. Extra reply bytes are dropped; a short
@@ -295,6 +300,9 @@ class StateKeyValue {
   // dirty pages (unpushed local writes must not be refetched over).
   void RefreshForLock();
 
+  // Sets a present bit, keeping present_pages_ in step. Requires pages_mutex_.
+  void SetPresentLocked(size_t page, bool present);
+
   std::string key_;
   KvsClient* kvs_;
   Clock* clock_;
@@ -305,8 +313,10 @@ class StateKeyValue {
   PollLock local_lock_;
   mutable std::mutex pages_mutex_;
   std::vector<bool> page_present_;
-  // Set by InstallPulled, consumed by the next Pull() (which then skips even
-  // the sizing RPC); cleared by InvalidateReplica and lock acquisition.
+  size_t present_pages_ = 0;  // set bits in page_present_: Pull's O(1) resident check
+  size_t value_len_ = 0;  // value length at the last whole install or size check
+  // Set by InstallPulled, consumed by the next Pull() (which then sends
+  // nothing); cleared by InvalidateReplica and lock acquisition.
   std::atomic<bool> pulled_fresh_{false};
 };
 

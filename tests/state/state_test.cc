@@ -119,17 +119,82 @@ TEST_F(StateTest, ColdPullIsOneWholeValueRead) {
   ASSERT_TRUE(kv->UnlockGlobalRead().ok());
 }
 
-TEST_F(StateTest, WarmPullCostsOneSizeCheck) {
+TEST_F(StateTest, WarmPullOfResidentReplicaIsFree) {
   SeedGlobal("k", 2 * StateKeyValue::kStatePageBytes, 0x01);
   auto kv = tier_.Lookup("k");
   ASSERT_TRUE(kv->Pull().ok());
   network_.ResetStats();
   const uint64_t reads_before = server_.read_rpc_count();
   ASSERT_TRUE(kv->Pull().ok());
-  // Every page present: the growth check is the whole cost; no value bytes.
-  EXPECT_EQ(server_.read_rpc_count(), reads_before + 1);
-  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 1u);
-  EXPECT_LT(network_.total_bytes(), 256u);
+  // Every page present: nothing to fetch, so nothing is sent.
+  EXPECT_EQ(server_.read_rpc_count(), reads_before);
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 0u);
+  EXPECT_EQ(network_.total_bytes(), 0u);
+}
+
+TEST_F(StateTest, WarmPullKeepsOldSizeWithOldBytes) {
+  // Another host grows the value. A warm pull does not see it: the replica
+  // keeps its size and its bytes together, never a new size over old bytes.
+  SeedGlobal("k", 1000, 0x01);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->Pull().ok());
+  store_.Set("k", Bytes(3000, 0x02));
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(kv->size(), 1000u);
+  EXPECT_EQ(kv->data()[999], 0x01);
+  // Past the replica's capacity too: the warm pull does not fail.
+  store_.Set("k", Bytes(3 * StateKeyValue::kStatePageBytes, 0x03));
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(kv->size(), 1000u);
+  EXPECT_EQ(kv->data()[0], 0x01);
+}
+
+TEST_F(StateTest, ColdPullObservesGrowth) {
+  // Growth shows at the next cold pull: after InvalidateReplica(), or under
+  // a freshly acquired global lock.
+  SeedGlobal("k", 1000, 0x01);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->Pull().ok());
+  store_.Set("k", Bytes(2000, 0x02));
+  kv->InvalidateReplica();
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(kv->size(), 2000u);
+  EXPECT_EQ(kv->data()[0], 0x02);
+  EXPECT_EQ(kv->data()[1999], 0x02);
+
+  store_.Set("k", Bytes(3000, 0x03));
+  ASSERT_TRUE(kv->LockGlobalRead().ok());
+  ASSERT_TRUE(kv->Pull().ok());
+  EXPECT_EQ(kv->size(), 3000u);
+  EXPECT_EQ(kv->data()[0], 0x03);
+  EXPECT_EQ(kv->data()[2999], 0x03);
+  ASSERT_TRUE(kv->UnlockGlobalRead().ok());
+}
+
+TEST_F(StateTest, PartialPullRefetchesOldTailPageOnGrowth) {
+  // A 3-page replica holds a value ending 100 B into page 1. The value
+  // grows into page 2 elsewhere: the pull fetches page 2 and page 1 again,
+  // whose bytes past the old end were never local.
+  constexpr size_t kPage = StateKeyValue::kStatePageBytes;
+  constexpr size_t kOld = kPage + 100;
+  constexpr size_t kNew = 2 * kPage + 500;
+  SeedGlobal("k", kOld, 0x44);
+  auto kv = tier_.Lookup("k");
+  ASSERT_TRUE(kv->EnsureCapacity(3 * kPage).ok());
+  ASSERT_TRUE(kv->Pull().ok());
+  ASSERT_EQ(kv->resident_pages(), 2u);
+  Bytes grown(kNew, 0x55);
+  std::memset(grown.data(), 0x44, kOld);
+  store_.Set("k", grown);
+  network_.ResetStats();
+  ASSERT_TRUE(kv->Pull().ok());
+  // The size check, then one ranged read of pages 1-2.
+  EXPECT_EQ(network_.StatsFor("host-0").tx_messages, 2u);
+  EXPECT_EQ(kv->resident_pages(), 3u);
+  EXPECT_EQ(kv->data()[kOld - 1], 0x44);
+  EXPECT_EQ(kv->data()[kOld], 0x55);
+  EXPECT_EQ(kv->data()[kOld + 100], 0x55);
+  EXPECT_EQ(kv->data()[kNew - 1], 0x55);
 }
 
 TEST_F(StateTest, ColdPullKeepsWholeLineLocalWrite) {
