@@ -29,10 +29,11 @@
 // co-located replica serving ablation (bench/replica_read_util.h) — K
 // versioned values on an R=2 ring, one acked write + one holder-host read
 // per key per round, master-only vs replica-served at identical durability,
-// plus an async column whose default-staleness reads must provably fall
-// through — written as the CI artifact BENCH_replica_read.json. Gates:
-// >=2x fewer cross-host read RPCs with serving on, zero staleness
-// violations everywhere, zero replica serves in the async column:
+// plus an async column (replica_reads on, async replication) whose reads
+// must all go to the master — written as the CI artifact
+// BENCH_replica_read.json. Gates: >=2x fewer cross-host read RPCs with
+// serving on, zero staleness violations everywhere, zero replica serves in
+// the async column:
 //
 //   fig9_micro --replica-reads [--tiny] [--replica-json BENCH_replica_read.json]
 #include <benchmark/benchmark.h>
@@ -309,7 +310,7 @@ bool WriteReplicaJson(const std::string& path, bool tiny, const ReplicaMicroConf
 // Returns 0 when the replica-read gates hold: serving from co-located
 // backups cuts cross-host read RPCs at least 2x vs master-only at R=2,
 // no column ever returned a version behind an acked write, and the async
-// column's default-staleness reads all fell through to the master.
+// column's reads all went to the master.
 int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
   PrintHeader("Replica-read micro: master-only vs co-located replica serving (R=2)");
   const ReplicaMicroConfig master_config = ReplicaMicroConfig::ForScale(tiny, false, true);
@@ -328,8 +329,8 @@ int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
   PrintReplicaMicroRow("async-strict", async_strict);
   std::printf("(both sync columns replicate identically; they differ only in whether a\n"
               " backup host's client may answer from its own certified copy. the async\n"
-              " column keeps serving ON but every default-staleness read must fall\n"
-              " through: an acked write may not have reached the copy yet)\n");
+              " column sets replica_reads but the cluster enables replica serving only\n"
+              " under sync replication: an async copy may miss an acked write)\n");
 
   if (!json_path.empty() && !WriteReplicaJson(json_path, tiny, replica_config, master_only,
                                               replica, async_strict)) {
@@ -363,7 +364,7 @@ int RunReplicaReadMicroMode(bool tiny, const std::string& json_path) {
   }
   if (async_strict.replica_serves != 0) {
     std::fprintf(stderr,
-                 "FAIL: %llu async default-staleness reads were served by a replica\n",
+                 "FAIL: %llu async-replication reads were served by a replica\n",
                  static_cast<unsigned long long>(async_strict.replica_serves));
     return 1;
   }

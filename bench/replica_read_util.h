@@ -11,10 +11,10 @@
 // differ ONLY in whether the client's replica tier serves (config's
 // replica_reads). The read decodes the version stamp: a version behind the
 // last acked write is a STALENESS VIOLATION, a wrong fill byte a torn read —
-// either counts against the column. The async column keeps serving ON but
-// runs the replication channel asynchronously: default-staleness reads must
-// then provably fall through (replica_serves == 0) because the lease
-// sentinel is strict when an acked write may not have reached the copy.
+// either counts against the column. The async column sets replica_reads
+// but runs the replication channel asynchronously, where the cluster never
+// enables replica serving (an acked write may not have reached the copy),
+// so every read goes to the master (replica_serves == 0).
 #ifndef FAASM_BENCH_REPLICA_READ_UTIL_H_
 #define FAASM_BENCH_REPLICA_READ_UTIL_H_
 

@@ -299,16 +299,6 @@ class KvStore {
   // forwarding. The op that leaves last wakes the waiter.
   void AwaitQuiescent(Clock& clock);
 
-  // The apply sequence of the last FORWARDED mutation on `key` in this
-  // store's sequence space (0 = never mutated with forwarding active, or
-  // migrated away). Recorded under the key's shard mutex alongside the
-  // sequence capture, so it is exact with respect to the forward stream. The
-  // async replica-read freshness probe compares a backup's per-key floor
-  // against this: floor >= KeySeq means every forwarded op on the key has
-  // reached the backup. InstallKey re-bases it to the installing store's
-  // current sequence (the same value a subsequent ExportKey would stamp).
-  uint64_t KeySeq(const std::string& key) const;
-
   // RAII: suppresses update-hook calls from the current thread. Seeding and
   // mirror paths (ShardedKvs, the replication manager's own installs) write
   // stores whose replication is handled by other means — and may run on
@@ -344,8 +334,6 @@ class KvStore {
     std::set<std::string> frozen;  // keys mid-stream: ops bounce
     KeyPredicate filter;           // migration window: moving keys bounce
     KeyPredicate owns;             // live ownership guard: foreign keys bounce
-    // Last forwarded-mutation sequence per key (see KeySeq).
-    std::map<std::string, uint64_t> key_seq;
   };
 
   size_t ShardIndexFor(const std::string& key) const {

@@ -212,16 +212,6 @@ bool KvsClient::LocallyBacked(const std::string& master_endpoint) const {
   return backed_masters_.count(master_endpoint) > 0;
 }
 
-bool KvsClient::ReplicaStalenessCovered(const ReadOptions& options) const {
-  if (options.max_staleness == ReadOptions::kLeaseStaleness) {
-    // The lease sentinel bounds CACHE staleness; it says nothing about
-    // replication lag, so async mode treats it as strict — default reads
-    // provably fall through to the master.
-    return false;
-  }
-  return options.max_staleness >= replica_cfg_.async_lag_bound_ns;
-}
-
 bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
   std::lock_guard<std::mutex> guard(ambient_mutex_);
   for (const OpBatch::Pending& pending : ambient_.ops_) {
@@ -234,16 +224,6 @@ bool KvsClient::HasPendingAmbientWrite(const std::string& key) const {
 
 std::optional<Result<Bytes>> KvsClient::TryReplicaRead(const std::string& key,
                                                        const ReadOptions& options) {
-  if (!replica_cfg_.sync) {
-    // Async gate, both halves: the read must explicitly tolerate the
-    // configured lag bound, AND the copy must provably have caught up —
-    // every forwarded op on the key at or below the primary's KeySeq has
-    // been folded in. Either failing means the master answers.
-    if (!ReplicaStalenessCovered(options) || replica_cfg_.primary_seq == nullptr ||
-        replica_cfg_.replica->FloorSeq(key) < replica_cfg_.primary_seq(key)) {
-      return std::nullopt;
-    }
-  }
   Result<Bytes> result = replica_cfg_.replica->ReadValue(key, options.offset, options.len);
   if (result.ok() || result.status().code() == StatusCode::kNotFound) {
     // Served (a certified copy's NotFound is the truth — the master would
@@ -528,8 +508,8 @@ bool KvsClient::ServeNearby(OpBatch::Pending& pending, const Route& route, bool 
     }
   }
   // Tier two: a co-located replica answers in process when this host mirrors
-  // the key's shard and the copy is certified for the live epoch (sync
-  // mode) or provably within the read's staleness budget (async mode).
+  // the key's shard and the copy is certified for the live epoch (replica
+  // reads are only ever enabled under sync replication).
   if (replica_cfg_.replica == nullptr || !LocallyBacked(route.endpoint)) {
     return false;
   }

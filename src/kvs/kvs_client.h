@@ -99,12 +99,9 @@
 //   - A FENCED replica (its host crashed and failed over) answers
 //     kUnavailable; the client reports it to the suspicion hook and falls
 //     through to the master — a dead host's copies never serve.
-//   - ASYNC replication: the copy may lag by up to the configured bound, so
-//     a replica read is legal only when the read EXPLICITLY tolerates it
-//     (max_staleness >= ReplicationConfig::async_lag_bound_ns — the default
-//     lease sentinel does not qualify) AND the per-key freshness probe
-//     proves the copy has caught up (replica floor seq >= primary KeySeq);
-//     otherwise the read falls through to the master.
+//   - ASYNC replication: an acked write may not have reached the copy yet,
+//     so replica reads are never enabled — the cluster wires tier two only
+//     under sync replication, and every read goes to the master.
 //
 // READ CACHE COHERENCE (tier one). A cached read is NEVER stale with
 // respect to:
@@ -361,18 +358,11 @@ class KvsClient {
 
   // --- Replica reads (tier two of the three-tier read path) --------------------
   // Wiring for serving reads from this host's co-located backup copies. The
-  // cluster passes the host's own ReplicaShard plus the replication policy;
-  // `primary_seq` is the async-mode freshness probe — it answers the
-  // primary's KeySeq for a key. The simulation resolves it with an
-  // in-process lookup, modelling the per-key sequence metadata a real
-  // deployment piggybacks on the replication channel it already pays for
-  // (so the probe itself moves zero accounted bytes).
+  // cluster passes the host's own ReplicaShard plus the replication factor,
+  // and only under sync replication (see REPLICA-READ VALIDITY above).
   struct ReplicaReadConfig {
     ReplicaShard* replica = nullptr;
-    int factor = 1;           // cluster replication factor (backup resolution)
-    bool sync = true;         // replication mode (async adds the probe)
-    TimeNs async_lag_bound_ns = 0;
-    std::function<uint64_t(const std::string&)> primary_seq;
+    int factor = 1;  // cluster replication factor (backup resolution)
   };
   void EnableReplicaReads(ReplicaReadConfig config) { replica_cfg_ = std::move(config); }
   bool replica_reads_enabled() const { return replica_cfg_.replica != nullptr; }
@@ -465,14 +455,9 @@ class KvsClient {
   // Attempts to serve `key`'s read from the co-located replica. Engaged
   // result = the read's final answer (served, counted); nullopt = fall
   // through to the master (not locally backed was already checked by the
-  // caller; here: fenced → suspicion hook, stale certification, or an async
-  // copy the staleness policy or freshness probe disqualifies).
+  // caller; here: fenced → suspicion hook, or stale certification).
   std::optional<Result<Bytes>> TryReplicaRead(const std::string& key,
                                               const ReadOptions& options);
-  // Policy half of the async gate: does this read EXPLICITLY tolerate the
-  // configured lag bound? (The kLeaseStaleness sentinel is strict: default
-  // reads provably fall through in async mode.)
-  bool ReplicaStalenessCovered(const ReadOptions& options) const;
   // True when the ambient batch holds a not-yet-flushed mutating op on
   // `key` (the read-your-writes trigger).
   bool HasPendingAmbientWrite(const std::string& key) const;

@@ -109,12 +109,6 @@ Result<Bytes> ReplicaShard::ReadValue(const std::string& key, uint64_t offset, u
   return result;
 }
 
-uint64_t ReplicaShard::FloorSeq(const std::string& key) const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = meta_.find(key);
-  return it == meta_.end() ? 0 : it->second.floor;
-}
-
 void ReplicaShard::Erase(const std::string& key) {
   std::lock_guard<std::mutex> guard(mutex_);
   meta_.erase(key);

@@ -62,9 +62,10 @@
 // re-certify: any epoch flip invalidates every stamp at once, exactly like
 // the (key, epoch)-keyed read cache, and the Reconcile that follows every
 // membership change re-certifies under the same serialisation. Fenced
-// replicas answer kUnavailable (crash evidence for the suspicion hook); in
-// ASYNC mode the stamp alone is not enough — the client additionally proves
-// per-key floor >= primary KeySeq before trusting a lagging copy.
+// replicas answer kUnavailable (crash evidence for the suspicion hook). In
+// ASYNC mode an acked write may not have reached the copy yet, so the stamp
+// proves nothing about freshness: the cluster enables replica reads only
+// under sync replication.
 #ifndef FAASM_KVS_REPLICATION_H_
 #define FAASM_KVS_REPLICATION_H_
 
@@ -91,12 +92,6 @@ struct ReplicationConfig {
   // forward. Async: forwards queue per primary and ship every max_lag_ops.
   bool sync = true;
   int max_lag_ops = 32;
-  // Async mode: the advertised bound on how far (in virtual time) a backup
-  // copy may lag its primary. A replica read is policy-legal only when the
-  // read's ReadOptions::max_staleness covers this bound; the per-key
-  // floor-vs-KeySeq probe then proves actual freshness. Ignored in sync
-  // mode (an acked write is on every live backup before its ack).
-  TimeNs async_lag_bound_ns = 5 * kMillisecond;
 };
 
 // BackupsFor (the R-1 clockwise backup endpoints of a primary) lives in
@@ -198,14 +193,9 @@ class ReplicaShard {
   //                         to the master, Reconcile re-certifies);
   //   - certified current → the store's own answer, NotFound included (the
   //                         copy is exact, so "no value" is the truth).
-  // In async mode callers must ALSO run the freshness probe (FloorSeq vs
-  // the primary's KeySeq) before trusting the answer; the stamp only proves
-  // the copy tracks the right sequence space.
+  // "Exact" holds only under sync replication, the one mode that serves
+  // replica reads; an async copy may lag its primary's acked writes.
   Result<Bytes> ReadValue(const std::string& key, uint64_t offset, uint64_t len);
-
-  // Highest primary apply-seq folded into this copy of `key` (0 = none):
-  // the async freshness probe's replica half.
-  uint64_t FloorSeq(const std::string& key) const;
 
   // Reads ReadValue served (the replica-tier twin of KvsServer's
   // read_rpc_count; every one of these is a read RPC that never happened).

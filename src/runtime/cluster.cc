@@ -17,7 +17,6 @@ FaasmCluster::FaasmCluster(ClusterConfig config)
       replication_config.factor = config.replication_factor;
       replication_config.sync = config.replication_sync;
       replication_config.max_lag_ops = config.replication_max_lag_ops;
-      replication_config.async_lag_bound_ns = config.replication_async_lag_bound_ns;
       replication_ = std::make_unique<ReplicationManager>(network_.get(), &shard_map_,
                                                           &shard_stores_, replication_config);
       // The map answers HoldersFor (scheduler placement, client holder
@@ -82,12 +81,7 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
   const std::string endpoint = ShardMap::EndpointForHost(name);
   kvs_shards_.push_back(std::make_unique<KvStore>());
   KvStore* store = kvs_shards_.back().get();
-  {
-    // PrimaryKeySeq reads this map from client threads; every other reader
-    // already serialises against this insert via membership_lock_.
-    std::lock_guard<std::mutex> guard(shard_stores_mutex_);
-    shard_stores_[endpoint] = store;
-  }
+  shard_stores_[endpoint] = store;
   kvs_.AddStore(endpoint, store);
   // Live-map ownership guard: an op that reaches this store for a key it
   // does not master under the CURRENT epoch — a straggler that resolved its
@@ -114,11 +108,9 @@ std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
   host_config.batch_state_reads = config_.batch_state_reads;
   host_config.read_cache = config_.read_cache;
   host_config.read_lease_ns = config_.read_lease_ns;
-  host_config.replica_reads = config_.replica_reads;
   if (detector_ != nullptr) {
     host_config.failure_detector_endpoint = detector_->config().endpoint;
     host_config.heartbeat_interval_ns = config_.heartbeat_interval_ns;
-    host_config.suspicion_timeout_ns = config_.suspicion_timeout_ns;
   }
   auto host = std::make_unique<FaasmInstance>(host_config, &executor_, network_.get(), &registry_,
                                               &calls_, &files_, &shard_map_, local_shard);
@@ -129,35 +121,17 @@ std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
     host->kvs().SetSuspicionHook(
         [detector](const std::string& endpoint) { detector->ReportSuspicion(endpoint); });
   }
-  if (replication_ != nullptr && host_config.replica_reads) {
+  if (replication_ != nullptr && config_.replica_reads && config_.replication_sync) {
     // Tier two of the read path: hand the client its co-located mirror so
-    // reads of keys this host backs are served in-process. The async
-    // freshness probe models seq metadata the replication channel already
-    // piggybacks, so it crosses no accounted network.
+    // reads of keys this host backs are served in-process. Sync replication
+    // only: there an acked write is on every live backup before its ack,
+    // while an async copy may lag.
     KvsClient::ReplicaReadConfig replica_config;
     replica_config.replica = replication_->ReplicaForHost(name);
     replica_config.factor = config_.replication_factor;
-    replica_config.sync = config_.replication_sync;
-    replica_config.async_lag_bound_ns = config_.replication_async_lag_bound_ns;
-    replica_config.primary_seq = [this](const std::string& key) { return PrimaryKeySeq(key); };
-    host->kvs().EnableReplicaReads(std::move(replica_config));
+    host->kvs().EnableReplicaReads(replica_config);
   }
   return host;
-}
-
-uint64_t FaasmCluster::PrimaryKeySeq(const std::string& key) {
-  const std::string master = shard_map_.MasterFor(key);
-  KvStore* store = nullptr;
-  {
-    std::lock_guard<std::mutex> guard(shard_stores_mutex_);
-    if (auto it = shard_stores_.find(master); it != shard_stores_.end()) {
-      store = it->second;
-    }
-  }
-  if (store == nullptr) {
-    return ~uint64_t{0};  // unresolvable master: force the fall-through
-  }
-  return store->KeySeq(key);
 }
 
 Result<std::string> FaasmCluster::AddHost() {

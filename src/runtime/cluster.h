@@ -41,7 +41,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -99,14 +98,11 @@ struct ClusterConfig {
   int replication_max_lag_ops = 32;
   // Replica reads (the three-tier read path, kvs_client.h): a host that
   // backs a key's shard serves reads from its local mirror in-process, zero
-  // network bytes. Sound in sync mode because the ack already covers every
-  // live backup; in async mode a replica read additionally requires the
-  // read's max_staleness to cover replication_async_lag_bound_ns AND the
-  // copy to have provably caught up on that key. Only meaningful at
-  // replication_factor > 1. Off = every cross-host read pays the master RPC.
+  // network bytes. Takes effect only under sync replication at
+  // replication_factor > 1, where the ack already covers every live backup;
+  // an async copy may miss acked writes, so async clusters always read from
+  // the master. Off = every cross-host read pays the master RPC.
   bool replica_reads = true;
-  // The lag bound async-mode replica reads are gated on (see above).
-  TimeNs replication_async_lag_bound_ns = 5 * kMillisecond;
   // Heartbeat failure detection (runtime/failure_detector.h). When on, every
   // host heartbeats a detector activity that confirms crashes autonomously
   // and runs the KillHost recovery itself — CrashHost() with no further
@@ -190,7 +186,9 @@ class FaasmCluster {
   FunctionRegistry& registry() { return registry_; }
   GlobalFileStore& files() { return files_; }
   // Direct, unaccounted view over every global-tier shard, routed by the
-  // same ShardMap the hosts use (dataset seeding and test inspection).
+  // same ShardMap the hosts use (dataset seeding and test inspection). Not
+  // synchronised against membership changes: use it before Run() or from
+  // the driver activity that calls AddHost/RemoveHost, never beside them.
   ShardedKvs& kvs() { return kvs_; }
   const ShardMap& shard_map() const { return shard_map_; }
   InProcNetwork& network() { return *network_; }
@@ -278,13 +276,6 @@ class FaasmCluster {
   // host name — whichever path arrives second is a no-op. Caller must hold
   // membership_lock_.
   FailoverStats RecoverDeadShardLocked(const std::string& name);
-  // `key`'s last forwarded-mutation seq at its current master, or ~0 when
-  // the master's store cannot be resolved (forces async replica reads to
-  // fall through). The freshness probe async-mode replica reads are gated
-  // on: models the seq metadata the replication channel already carries, so
-  // it is unaccounted. Runs on client threads — touches shard_stores_ only
-  // under shard_stores_mutex_.
-  uint64_t PrimaryKeySeq(const std::string& key);
 
   ClusterConfig config_;
   SimExecutor executor_;
@@ -296,12 +287,6 @@ class FaasmCluster {
   ShardMap shard_map_;
   std::vector<std::unique_ptr<KvStore>> kvs_shards_;
   std::map<std::string, KvStore*> shard_stores_;  // endpoint -> shard (migration)
-  // Guards shard_stores_ between AddHost's insert (driver activity, under
-  // membership_lock_) and PrimaryKeySeq's lookup (client threads, which hold
-  // no membership lock). Other readers run under membership_lock_ and need
-  // no extra guard; store pointers themselves are stable for the cluster's
-  // lifetime (kvs_shards_ only grows).
-  mutable std::mutex shard_stores_mutex_;
   std::unique_ptr<KvsServer> central_kvs_server_;  // kCentral only
   // Replication substrate (sharded mode, replication_factor > 1): owns every
   // host's replica shard/server/replicator. Constructed before the first

@@ -51,13 +51,6 @@ struct HostConfig {
   // workloads must not opt into (see the coherence rules in kvs_client.h).
   bool read_cache = false;
   TimeNs read_lease_ns = 2 * kMillisecond;
-  // Replica reads (tier two of the read path, kvs_client.h): when on and the
-  // cluster runs replication, the cluster hands this host's KvsClient its
-  // local ReplicaShard after construction (EnableReplicaReads), so reads of
-  // keys this host backs are served in-process. The flag is the per-host
-  // mirror of ClusterConfig::replica_reads; the instance itself only carries
-  // it so the wiring site can gate on one config object.
-  bool replica_reads = true;
   // Guest execution tiers for every Faaslet on this host (wasm/instance.h).
   // Defaults are the fast tiers (guard-page bounds elision + threaded
   // dispatch); the checked/switch tiers are the ablation baselines and the
@@ -71,10 +64,6 @@ struct HostConfig {
   // endpoint or interval 0 = no heartbeats (oracle-only clusters).
   std::string failure_detector_endpoint;
   TimeNs heartbeat_interval_ns = 5 * kMillisecond;
-  // Silence threshold after which the detector suspects this host. Carried
-  // in HostConfig so hosts and detector agree on the contract; the instance
-  // itself only reads the interval.
-  TimeNs suspicion_timeout_ns = 20 * kMillisecond;
 };
 
 class FaasmInstance {

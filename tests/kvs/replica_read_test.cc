@@ -1,9 +1,9 @@
 // Unit tests for tier two of the read path: ReplicaShard::ReadValue's
 // certification contract (anchor-only epoch stamps, fencing, forwarded-op
-// exactness), the async freshness probe halves (FloorSeq vs KvStore::KeySeq),
-// holder resolution (ShardMap::HoldersFor), and the client integration —
-// reads served in-process from a co-located backup with zero read RPCs at
-// the master, falling through whenever the copy cannot prove itself.
+// exactness), holder resolution (ShardMap::HoldersFor), and the client
+// integration — reads served in-process from a co-located backup with zero
+// read RPCs at the master, falling through whenever the copy cannot prove
+// itself.
 #include <gtest/gtest.h>
 
 #include "kvs/kvs_client.h"
@@ -153,48 +153,6 @@ TEST(ReplicaReadValueTest, ForwardsKeepACertifiedCopyServableAcrossMutations) {
   auto read = replica.ReadValue("key", 0, ReadOptions::kWholeValue);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), (Bytes{1, 9}));
-  EXPECT_EQ(replica.FloorSeq("key"), record.seq + 1);
-}
-
-// --- The async probe halves ----------------------------------------------------
-
-TEST(KeySeqTest, TracksLastForwardedMutationPerKey) {
-  // KeySeq tracks FORWARDED mutations: without replication (no update hook)
-  // it stays 0, which makes the async probe a no-op exactly when there is
-  // no replica to probe for.
-  KvStore unhooked;
-  ASSERT_TRUE(unhooked.Set("key", Bytes{1}).ok());
-  EXPECT_EQ(unhooked.KeySeq("key"), 0u);
-
-  KvStore store;
-  store.SetUpdateHook([](const std::vector<KvStore::ForwardedOp>&) {});
-  EXPECT_EQ(store.KeySeq("key"), 0u);
-  ASSERT_TRUE(store.Set("key", Bytes{1}).ok());
-  const uint64_t first = store.KeySeq("key");
-  EXPECT_GT(first, 0u);
-  ASSERT_TRUE(store.Append("key", Bytes{2}).ok());
-  EXPECT_GT(store.KeySeq("key"), first);
-  // Another key's mutations do not move this key's seq.
-  const uint64_t after_append = store.KeySeq("key");
-  ASSERT_TRUE(store.Set("other", Bytes{3}).ok());
-  EXPECT_EQ(store.KeySeq("key"), after_append);
-}
-
-TEST(KeySeqTest, InstallRebasesAndEraseClears) {
-  KvStore source;
-  ASSERT_TRUE(source.Set("key", Bytes{5}).ok());
-  KvStore target;
-  target.SetUpdateHook([](const std::vector<KvStore::ForwardedOp>&) {});
-  // A migrated-in key re-bases to the target's own seq space: the floor a
-  // later export stamps comes from the same counter, so probe comparisons
-  // never mix spaces.
-  target.InstallKey("key", source.ExportKey("key"));
-  const uint64_t installed = target.KeySeq("key");
-  ASSERT_TRUE(target.Append("key", Bytes{6}).ok());
-  EXPECT_GT(target.KeySeq("key"), installed);
-
-  target.EraseKey("key");
-  EXPECT_EQ(target.KeySeq("key"), 0u);
 }
 
 // --- Holder resolution ---------------------------------------------------------
@@ -236,11 +194,10 @@ class ReplicaReadClientTest : public ::testing::Test {
     map_.set_replication_factor(2);
   }
 
-  std::unique_ptr<ReplicationManager> MakeManager(bool sync, int max_lag_ops = 32) {
+  // Sync replication at R=2: the only mode the cluster serves replica reads in.
+  std::unique_ptr<ReplicationManager> MakeManager() {
     ReplicationConfig config;
     config.factor = 2;
-    config.sync = sync;
-    config.max_lag_ops = max_lag_ops;
     auto manager = std::make_unique<ReplicationManager>(&network_, &map_, &stores_, config);
     for (int i = 0; i < kHosts; ++i) {
       const std::string name = "host-" + std::to_string(i);
@@ -251,19 +208,10 @@ class ReplicaReadClientTest : public ::testing::Test {
 
   // A client running ON `host`, wired for replica reads like the cluster
   // wires every instance's client.
-  std::unique_ptr<KvsClient> MakeClient(const std::string& host, ReplicationManager* manager,
-                                        bool sync, TimeNs lag_bound = 0) {
+  std::unique_ptr<KvsClient> MakeClient(const std::string& host, ReplicationManager* manager) {
     auto client = std::make_unique<KvsClient>(&network_, host, &map_,
                                               stores_[ShardMap::EndpointForHost(host)]);
-    KvsClient::ReplicaReadConfig config;
-    config.replica = manager->ReplicaForHost(host);
-    config.factor = 2;
-    config.sync = sync;
-    config.async_lag_bound_ns = lag_bound;
-    config.primary_seq = [this](const std::string& key) {
-      return stores_[map_.MasterFor(key)]->KeySeq(key);
-    };
-    client->EnableReplicaReads(std::move(config));
+    client->EnableReplicaReads({manager->ReplicaForHost(host), /*factor=*/2});
     return client;
   }
 
@@ -317,10 +265,10 @@ class ReplicaReadClientTest : public ::testing::Test {
 };
 
 TEST_F(ReplicaReadClientTest, SyncBackupServesReadsWithZeroReadRpcs) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/true);
+  auto client = MakeClient(backup, manager.get());
 
   // Write through a plain client at the master, so the sync forward lands
   // the value on the backup before the ack.
@@ -350,7 +298,7 @@ TEST_F(ReplicaReadClientTest, SyncBackupServesReadsWithZeroReadRpcs) {
 }
 
 TEST_F(ReplicaReadClientTest, NonHolderFallsThroughToTheMaster) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   // The third host neither masters nor backs the key: its client pays the
   // read RPC like before.
@@ -362,7 +310,7 @@ TEST_F(ReplicaReadClientTest, NonHolderFallsThroughToTheMaster) {
     }
   }
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(outsider, manager.get(), /*sync=*/true);
+  auto client = MakeClient(outsider, manager.get());
 
   KvsClient writer(&network_, "client", &map_, nullptr);
   ASSERT_TRUE(writer.Set(key, Bytes{4}).ok());
@@ -375,10 +323,10 @@ TEST_F(ReplicaReadClientTest, NonHolderFallsThroughToTheMaster) {
 }
 
 TEST_F(ReplicaReadClientTest, EpochFlipFallsThroughUntilReconcileRecertifies) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/true);
+  auto client = MakeClient(backup, manager.get());
 
   KvsClient writer(&network_, "client", &map_, nullptr);
   ASSERT_TRUE(writer.Set(key, Bytes{3}).ok());
@@ -406,10 +354,10 @@ TEST_F(ReplicaReadClientTest, EpochFlipFallsThroughUntilReconcileRecertifies) {
 }
 
 TEST_F(ReplicaReadClientTest, FencedReplicaNeverServesAndFeedsSuspicion) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/true);
+  auto client = MakeClient(backup, manager.get());
 
   KvsClient writer(&network_, "client", &map_, nullptr);
   ASSERT_TRUE(writer.Set(key, Bytes{8}).ok());
@@ -430,10 +378,10 @@ TEST_F(ReplicaReadClientTest, FencedReplicaNeverServesAndFeedsSuspicion) {
 }
 
 TEST_F(ReplicaReadClientTest, ReadYourWritesFlushesTheAmbientBatchFirst) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/true);
+  auto client = MakeClient(backup, manager.get());
   KvsClient writer(&network_, "client", &map_, nullptr);
   ASSERT_TRUE(writer.Set(key, Bytes{1}).ok());
   manager->Reconcile();
@@ -450,59 +398,11 @@ TEST_F(ReplicaReadClientTest, ReadYourWritesFlushesTheAmbientBatchFirst) {
   EXPECT_EQ(read.value(), (Bytes{42}));
 }
 
-TEST_F(ReplicaReadClientTest, AsyncDefaultReadFallsThroughAndCaughtUpCopyServes) {
-  // Async replication with a large queue: forwards lag until FlushAll.
-  auto manager = MakeManager(/*sync=*/false, /*max_lag_ops=*/1000);
-  const std::string backup = BackupHostOf("host-0");
-  const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/false,
-                           /*lag_bound=*/5 * kMillisecond);
-
-  KvsClient writer(&network_, "client", &map_, nullptr);
-  ASSERT_TRUE(writer.Set(key, Bytes{1}).ok());
-  manager->Reconcile();  // certify the copy (content now matches)
-
-  // Another acked write that the async queue has NOT shipped yet.
-  ASSERT_TRUE(writer.Set(key, Bytes{2}).ok());
-
-  // Default staleness (the lease sentinel) is strict: provably falls
-  // through regardless of lag.
-  auto strict = client->Read(key);
-  ASSERT_TRUE(strict.ok());
-  EXPECT_EQ(strict.value(), (Bytes{2}));
-  EXPECT_EQ(client->replica_served_count(), 0u);
-
-  // Even a generous staleness budget cannot license a LAGGING copy: the
-  // per-key probe (FloorSeq < primary KeySeq) fails while the queue holds
-  // the write.
-  ReadOptions generous;
-  generous.max_staleness = 10 * kMillisecond;
-  auto probed = client->Read(key, generous);
-  ASSERT_TRUE(probed.ok());
-  EXPECT_EQ(probed.value(), (Bytes{2}));
-  EXPECT_EQ(client->replica_served_count(), 0u);
-
-  // Drain the queue: the copy catches up, the probe passes, and the same
-  // generous read is now served locally — with the acked bytes.
-  manager->FlushAll();
-  auto served = client->Read(key, generous);
-  ASSERT_TRUE(served.ok());
-  EXPECT_EQ(served.value(), (Bytes{2}));
-  EXPECT_EQ(client->replica_served_count(), 1u);
-
-  // A budget tighter than the configured lag bound falls through even when
-  // the copy is caught up: the policy gate is deliberate, not best-effort.
-  ReadOptions tight;
-  tight.max_staleness = 1 * kMillisecond;
-  ASSERT_TRUE(client->Read(key, tight).ok());
-  EXPECT_EQ(client->replica_served_count(), 1u);
-}
-
 TEST_F(ReplicaReadClientTest, BatchReadsServeFromTheReplicaAndSkipSelfMutatedKeys) {
-  auto manager = MakeManager(/*sync=*/true);
+  auto manager = MakeManager();
   const std::string backup = BackupHostOf("host-0");
   const std::string key = KeyHeldBy("host-0", backup);
-  auto client = MakeClient(backup, manager.get(), /*sync=*/true);
+  auto client = MakeClient(backup, manager.get());
   KvsClient writer(&network_, "client", &map_, nullptr);
   ASSERT_TRUE(writer.Set(key, Bytes{1}).ok());
   manager->Reconcile();

@@ -1,8 +1,7 @@
 // Cluster-level tests for the three-tier read path (cache → co-located
 // replica → master): a backup host's reads are served in-process with zero
 // network bytes and zero master read RPCs; non-holders still pay the RPC;
-// async mode provably falls through unless the read's staleness budget
-// covers the lag bound AND the copy has caught up; and the scheduler's
+// async replication never serves from a replica; and the scheduler's
 // read-mostly affinity widening resolves every holder of a key's shard.
 #include <gtest/gtest.h>
 
@@ -160,13 +159,13 @@ TEST(ReplicaReadPathTest, MembershipChangeInvalidatesUntilReconciled) {
   });
 }
 
-TEST(ReplicaReadPathTest, AsyncModeFallsThroughUnlessBudgetAndProbeAllow) {
+TEST(ReplicaReadPathTest, AsyncModeNeverServesFromTheReplica) {
   ClusterConfig config;
   config.hosts = 4;
   config.replication_factor = 2;
   config.replication_sync = false;
   config.replication_max_lag_ops = 1;  // every op ships immediately (caught up)
-  config.replication_async_lag_bound_ns = 5 * kMillisecond;
+  ASSERT_TRUE(config.replica_reads);
   FaasmCluster cluster(config);
 
   const HeldKey held = FindHeldKey(cluster);
@@ -175,35 +174,24 @@ TEST(ReplicaReadPathTest, AsyncModeFallsThroughUnlessBudgetAndProbeAllow) {
   cluster.Run([&](Frontend&) {
     FaasmInstance& backup = cluster.host(HostIndex(cluster, held.backup_host));
     FaasmInstance& master = cluster.host(HostIndex(cluster, held.master_host));
+    // Async clusters never wire tier two, even with replica_reads on.
+    EXPECT_FALSE(backup.kvs().replica_reads_enabled());
     ASSERT_TRUE(master.kvs().Set(held.key, Bytes{2}).ok());  // ships at lag 1
 
-    // Default staleness (the lease sentinel) is strict in async mode: the
-    // read pays the master RPC even though the copy IS caught up.
-    auto strict = backup.kvs().Read(held.key);
-    ASSERT_TRUE(strict.ok());
-    EXPECT_EQ(strict.value(), (Bytes{2}));
-    EXPECT_EQ(backup.kvs().replica_served_count(), 0u);
-
-    // A read that explicitly tolerates the lag bound is served locally —
-    // and still observes the acked write, because the probe proved the copy
-    // caught up before serving.
+    // The backup's copy is certified and caught up, and the read tolerates
+    // 10 ms of staleness; the master still answers it.
+    const uint64_t rpcs_before = TotalReadRpcs(cluster);
     ReadOptions tolerant;
     tolerant.max_staleness = 10 * kMillisecond;
-    auto served = backup.kvs().Read(held.key, tolerant);
-    ASSERT_TRUE(served.ok());
-    EXPECT_EQ(served.value(), (Bytes{2}));
-    EXPECT_EQ(backup.kvs().replica_served_count(), 1u);
-
-    // A budget tighter than the configured lag bound falls through: the
-    // policy gate is per read, not per copy.
-    ReadOptions tight;
-    tight.max_staleness = 1 * kMillisecond;
-    ASSERT_TRUE(backup.kvs().Read(held.key, tight).ok());
-    EXPECT_EQ(backup.kvs().replica_served_count(), 1u);
+    auto read = backup.kvs().Read(held.key, tolerant);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read.value(), (Bytes{2}));
+    EXPECT_EQ(backup.kvs().replica_served_count(), 0u);
+    EXPECT_EQ(TotalReadRpcs(cluster), rpcs_before + 1);
   });
 }
 
-TEST(ReplicaReadPathTest, AsyncLaggingCopyFallsThroughOnTheProbe) {
+TEST(ReplicaReadPathTest, AsyncLaggingCopyReadsTheAckedBytesFromTheMaster) {
   ClusterConfig config;
   config.hosts = 4;
   config.replication_factor = 2;
@@ -217,9 +205,9 @@ TEST(ReplicaReadPathTest, AsyncLaggingCopyFallsThroughOnTheProbe) {
   cluster.Run([&](Frontend&) {
     FaasmInstance& backup = cluster.host(HostIndex(cluster, held.backup_host));
     FaasmInstance& master = cluster.host(HostIndex(cluster, held.master_host));
-    // The write is acked at the master but parked in the async queue: the
-    // backup's copy provably lags (FloorSeq < the primary's KeySeq), so
-    // even a tolerant read falls through — and gets the ACKED bytes.
+    // The write is acked at the master but parked in the async queue, so
+    // the backup's copy still holds the old bytes. A tolerant read on the
+    // backup goes to the master and gets the ACKED bytes.
     ASSERT_TRUE(master.kvs().Set(held.key, Bytes{7}).ok());
     ReadOptions tolerant;
     tolerant.max_staleness = kSecond;
