@@ -267,8 +267,8 @@ bool RunMlpTiers(int reps, AblationResult& result, double* reference) {
       env.network = &cluster.network();
       env.host_endpoint = host.name();
       env.cpu = &host.cpu();
-      env.guest_bounds = tier.bounds;
-      env.guest_dispatch = tier.dispatch;
+      env.guest.bounds = tier.bounds;
+      env.guest.dispatch = tier.dispatch;
       auto faaslet = Faaslet::Create(spec.value(), env);
       if (!faaslet.ok() || faaslet.value()->instance() == nullptr) {
         std::fprintf(stderr, "MLP Faaslet creation failed (%s)\n", tier.name);

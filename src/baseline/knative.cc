@@ -19,19 +19,20 @@ Bytes EncodeDispatch(uint64_t id, const std::string& function, const Bytes& inpu
 
 // --- KnativeInstance -------------------------------------------------------------
 
-KnativeInstance::KnativeInstance(HostConfig config, ContainerModel model, SimExecutor* executor,
+KnativeInstance::KnativeInstance(std::string name, const HostSettings& settings,
+                                 ContainerModel model, SimExecutor* executor,
                                  InProcNetwork* network, FunctionRegistry* registry,
                                  CallTable* calls, KnativeCluster* cluster)
-    : config_(std::move(config)),
+    : name_(std::move(name)),
       model_(model),
       executor_(executor),
       network_(network),
       registry_(registry),
       calls_(calls),
       cluster_(cluster),
-      kvs_(network, config_.name),
-      memory_(&executor->clock(), config_.memory_bytes),
-      cpu_(&executor->clock(), config_.cores) {}
+      kvs_(network, name_),
+      memory_(&executor->clock(), settings.host_memory_bytes),
+      cpu_(&executor->clock(), settings.cores_per_host) {}
 
 KnativeInstance::~KnativeInstance() { Stop(); }
 
@@ -39,19 +40,19 @@ void KnativeInstance::Start() {
   if (started_.exchange(true)) {
     return;
   }
-  network_->RegisterEndpoint(config_.name, [](const Bytes&) { return Bytes{}; });
+  network_->RegisterEndpoint(name_, [](const Bytes&) { return Bytes{}; });
   executor_->Spawn([this] { DispatchLoop(); });
 }
 
 void KnativeInstance::Stop() {
   if (!stop_.exchange(true) && started_.load()) {
-    executor_->clock().Notify(network_->Arrivals(config_.name));  // wake the dispatcher
+    executor_->clock().Notify(network_->Arrivals(name_));  // wake the dispatcher
   }
 }
 
 void KnativeInstance::Retire() {
   Stop();
-  network_->UnregisterEndpoint(config_.name);
+  network_->UnregisterEndpoint(name_);
   // The host's containers (and their private state copies) die with it:
   // return their memory so a removed host stops accruing billable
   // GB-seconds for the rest of the run.
@@ -73,14 +74,14 @@ void KnativeInstance::Retire() {
 
 void KnativeInstance::DispatchLoop() {
   SimClock& clock = executor_->clock();
-  WaitQueue& arrivals = network_->Arrivals(config_.name);
+  WaitQueue& arrivals = network_->Arrivals(name_);
   while (true) {
     const uint64_t seen = arrivals.Seq();  // before the checks; see FaasmInstance
     if (stop_.load()) {
       return;
     }
     TimeNs next_delivery = kNoDeadline;
-    auto message = network_->Poll(config_.name, &next_delivery);
+    auto message = network_->Poll(name_, &next_delivery);
     if (!message.has_value()) {
       clock.Park(arrivals, seen, next_delivery);
       continue;
@@ -90,7 +91,7 @@ void KnativeInstance::DispatchLoop() {
     auto function = reader.GetString();
     auto input = reader.GetBytes();
     if (!id.ok() || !function.ok() || !input.ok()) {
-      LOG_ERROR << config_.name << ": bad dispatch message";
+      LOG_ERROR << name_ << ": bad dispatch message";
       continue;
     }
     ExecuteLocal(id.value(), function.value(), std::move(input).value());
@@ -145,9 +146,9 @@ Result<std::unique_ptr<Container>> KnativeInstance::AcquireContainer(const std::
   env.cpu = &cpu_;
   env.rng_seed = HashBytes(reinterpret_cast<const uint8_t*>(function.data()), function.size());
   env.chain = [this](const std::string& fn, Bytes in) {
-    return cluster_->Submit(config_.name, fn, std::move(in));
+    return cluster_->Submit(name_, fn, std::move(in));
   };
-  env.await = [this](uint64_t id) { return cluster_->Await(config_.name, id); };
+  env.await = [this](uint64_t id) { return cluster_->Await(name_, id); };
   env.get_output = [this](uint64_t id) { return cluster_->Output(id); };
 
   auto container = std::make_unique<Container>(spec, std::move(env));
@@ -175,7 +176,7 @@ void KnativeInstance::ExecuteLocal(uint64_t call_id, const std::string& function
       cluster_->NotifyDone(function, host_index_);
       return;
     }
-    (void)calls_->MarkRunning(call_id, config_.name, cold);
+    (void)calls_->MarkRunning(call_id, name_, cold);
 
     Container& c = *container.value();
     Result<int> code = 0;
@@ -199,7 +200,7 @@ void KnativeInstance::ExecuteLocal(uint64_t call_id, const std::string& function
       if (now_bytes > accounted) {
         Status status = memory_.Allocate(now_bytes - accounted);
         if (!status.ok()) {
-          LOG_WARN << config_.name << ": containers exceed host memory";
+          LOG_WARN << name_ << ": containers exceed host memory";
         }
         accounted = now_bytes;
       }
@@ -232,13 +233,9 @@ KnativeCluster::KnativeCluster(ClusterConfig cluster_config, ContainerModel mode
 KnativeCluster::~KnativeCluster() { Shutdown(); }
 
 Result<std::string> KnativeCluster::AddHost() {
-  HostConfig host_config;
-  host_config.name = "kn-host-" + std::to_string(next_host_index_++);
-  host_config.cores = config_.cores_per_host;
-  host_config.memory_bytes = config_.host_memory_bytes;
-  host_config.max_concurrent_calls = config_.max_concurrent_per_host;
-  auto host = std::make_unique<KnativeInstance>(host_config, model_, &executor_,
-                                                network_.get(), &registry_, &calls_, this);
+  const std::string name = "kn-host-" + std::to_string(next_host_index_++);
+  auto host = std::make_unique<KnativeInstance>(name, config_, model_, &executor_, network_.get(),
+                                                &registry_, &calls_, this);
   KnativeInstance* started = host.get();
   {
     // hosts_ is read by RouteCall/Submit on instance threads; the push_back
@@ -250,7 +247,7 @@ Result<std::string> KnativeCluster::AddHost() {
   started->Start();
   // Baseline no-op tier: the central KVS is untouched — new hosts only add
   // compute (and cold starts), never state mastership.
-  return host_config.name;
+  return name;
 }
 
 int KnativeCluster::HostLoadLocked(size_t index) const {

@@ -67,11 +67,8 @@ Status Faaslet::Instantiate() {
   if (spec_.module != nullptr) {
     resolver_ = std::make_unique<wasm::MapImportResolver>();
     RegisterHostInterface(*this, *resolver_);
-    wasm::InstanceOptions instance_options;
-    instance_options.bounds = env_.guest_bounds;
-    instance_options.dispatch = env_.guest_dispatch;
     FAASM_ASSIGN_OR_RETURN(instance_, wasm::Instance::Create(spec_.module, resolver_.get(),
-                                                             memory_.get(), instance_options));
+                                                             memory_.get(), env_.guest));
   } else if (!spec_.native) {
     return InvalidArgument("FunctionSpec has neither wasm module nor native function");
   }
@@ -273,11 +270,8 @@ Result<uint32_t> Faaslet::DlOpen(const std::string& path) {
   // The loaded module shares this Faaslet's memory — the dynamic-linking
   // convention of a shared address space. It runs on the same guest tiers as
   // the main instance.
-  wasm::InstanceOptions dyn_options;
-  dyn_options.bounds = env_.guest_bounds;
-  dyn_options.dispatch = env_.guest_dispatch;
   FAASM_ASSIGN_OR_RETURN(auto instance, wasm::Instance::Create(compiled, resolver_.get(),
-                                                               memory_.get(), dyn_options));
+                                                               memory_.get(), env_.guest));
   DynModule dyn;
   dyn.instance = std::move(instance);
   dyn_modules_.push_back(std::move(dyn));

@@ -76,10 +76,10 @@ struct FaasletEnv {
   double vnet_rate_bytes_per_sec = 125e6;
   double vnet_burst_bytes = 2e6;
 
-  // Guest execution tiers (wasm/instance.h); defaults are the fast tiers,
+  // Options for every wasm instance the Faaslet creates, its dynamically
+  // loaded modules included. The default guest tiers are the fast ones,
   // downgraded automatically when the build cannot support them.
-  wasm::GuestBounds guest_bounds = wasm::GuestBounds::kGuardPage;
-  wasm::GuestDispatch guest_dispatch = wasm::GuestDispatch::kThreaded;
+  wasm::InstanceOptions guest;
 };
 
 class Faaslet : public InvocationContext {

@@ -49,9 +49,8 @@ FaasmCluster::FaasmCluster(ClusterConfig config)
   }
 
   if (config.failure_detection) {
-    // Detector before the hosts: MakeHost reads its endpoint into every
-    // HostConfig so heartbeat activities have a mailbox from their first
-    // beat.
+    // Detector before the hosts: MakeHost hands its endpoint to every host
+    // so heartbeat activities have a mailbox from their first beat.
     FailureDetectorConfig detector_config;
     detector_config.heartbeat_interval_ns = config.heartbeat_interval_ns;
     detector_config.suspicion_timeout_ns = config.suspicion_timeout_ns;
@@ -98,22 +97,9 @@ KvStore* FaasmCluster::RegisterShard(const std::string& name) {
 
 std::unique_ptr<FaasmInstance> FaasmCluster::MakeHost(const std::string& name,
                                                       KvStore* local_shard) {
-  HostConfig host_config;
-  host_config.name = name;
-  host_config.cores = config_.cores_per_host;
-  host_config.memory_bytes = config_.host_memory_bytes;
-  host_config.max_concurrent_calls = config_.max_concurrent_per_host;
-  host_config.warm_set_ttl_ns = config_.warm_set_ttl_ns;
-  host_config.batch_state_ops = config_.batch_state_ops;
-  host_config.batch_state_reads = config_.batch_state_reads;
-  host_config.read_cache = config_.read_cache;
-  host_config.read_lease_ns = config_.read_lease_ns;
-  if (detector_ != nullptr) {
-    host_config.failure_detector_endpoint = detector_->config().endpoint;
-    host_config.heartbeat_interval_ns = config_.heartbeat_interval_ns;
-  }
-  auto host = std::make_unique<FaasmInstance>(host_config, &executor_, network_.get(), &registry_,
-                                              &calls_, &files_, &shard_map_, local_shard);
+  auto host = std::make_unique<FaasmInstance>(
+      name, config_, &executor_, network_.get(), &registry_, &calls_, &files_, &shard_map_,
+      local_shard, detector_ != nullptr ? detector_->config().endpoint : std::string());
   if (detector_ != nullptr) {
     // Client evidence feeds detection: every kUnavailable bounce this host's
     // ops see schedules a corroborating probe on the detector's next sweep.

@@ -18,7 +18,7 @@
 //     synchronously, as an omniscient test harness can. Deterministic; kept
 //     as the baseline.
 //   - DETECTION (CrashHost + failure_detection): the driver only pulls the
-//     plug. Every host publishes heartbeats (HostConfig::heartbeat_interval_ns)
+//     plug. Every host publishes heartbeats (HostSettings::heartbeat_interval_ns)
 //     to a FailureDetector activity, which moves silent hosts through
 //     alive → suspect → dead (runtime/failure_detector.h): silence past
 //     suspicion_timeout_ns raises suspicion, a direct probe corroborates it
@@ -69,24 +69,11 @@ enum class StateTier {
   kSharded,
 };
 
-struct ClusterConfig {
+// The per-host settings are inherited from HostSettings (runtime/instance.h)
+// and reach every host whole; the fields below configure the cluster.
+struct ClusterConfig : HostSettings {
   int hosts = 4;
-  int cores_per_host = 4;
-  size_t host_memory_bytes = size_t{16} * 1024 * 1024 * 1024;
-  int max_concurrent_per_host = 64;
   StateTier state_tier = StateTier::kSharded;
-  // Age after which a host refreshes its cached warm-set view, off the call
-  // path (see HostConfig::warm_set_ttl_ns).
-  TimeNs warm_set_ttl_ns = 2 * kMillisecond;
-  // Batched state-op protocol (see HostConfig::batch_state_ops). Off is the
-  // one-RPC-per-op baseline kept for the --batch=off ablation.
-  bool batch_state_ops = true;
-  // Read half (kGetBatch prefetch grouping; HostConfig::batch_state_reads).
-  bool batch_state_reads = true;
-  // Per-host read cache + lease (HostConfig::read_cache / read_lease_ns).
-  // Opt-in: see the coherence rules in kvs_client.h.
-  bool read_cache = false;
-  TimeNs read_lease_ns = 2 * kMillisecond;
   // Copies per shard, primary included (kvs/replication.h). 1 = no
   // replication: no replica endpoints, no forwarding hooks — byte-for-byte
   // today's behaviour. >1 keeps R-1 live backups per shard and makes
@@ -111,7 +98,6 @@ struct ClusterConfig {
   // heartbeat_interval / 2). Off: the oracle KillHost is the only recovery
   // path, byte-for-byte today's behaviour.
   bool failure_detection = false;
-  TimeNs heartbeat_interval_ns = 5 * kMillisecond;
   TimeNs suspicion_timeout_ns = 20 * kMillisecond;
   NetworkConfig network;
 };
@@ -261,7 +247,7 @@ class FaasmCluster {
   void Shutdown();
 
  private:
-  // Builds (but does not start) a host with the cluster-wide HostConfig.
+  // Builds (but does not start) a host with the cluster's HostSettings.
   std::unique_ptr<FaasmInstance> MakeHost(const std::string& name, KvStore* local_shard);
   // Allocates and wires `name`'s global-tier shard: store table, seeding
   // view, and the live-map ownership guard. Returns the store.

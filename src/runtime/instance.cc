@@ -32,11 +32,13 @@ Result<SharedCall> DecodeSharedCall(const Bytes& bytes) {
 }
 }  // namespace
 
-FaasmInstance::FaasmInstance(HostConfig config, SimExecutor* executor, InProcNetwork* network,
-                             FunctionRegistry* registry, CallTable* calls,
+FaasmInstance::FaasmInstance(std::string name, const HostSettings& settings, SimExecutor* executor,
+                             InProcNetwork* network, FunctionRegistry* registry, CallTable* calls,
                              GlobalFileStore* files, const ShardMap* shard_map,
-                             KvStore* local_shard)
-    : config_(std::move(config)),
+                             KvStore* local_shard, std::string failure_detector_endpoint)
+    : name_(std::move(name)),
+      settings_(settings),
+      failure_detector_endpoint_(std::move(failure_detector_endpoint)),
       executor_(executor),
       network_(network),
       registry_(registry),
@@ -50,25 +52,24 @@ FaasmInstance::FaasmInstance(HostConfig config, SimExecutor* executor, InProcNet
       shard_server_(local_shard == nullptr
                         ? nullptr
                         : std::make_unique<KvsServer>(
-                              local_shard, network, ShardMap::EndpointForHost(config_.name))),
-      kvs_(shard_map != nullptr ? KvsClient(network, config_.name, shard_map, local_shard)
-                                : KvsClient(network, config_.name)),
+                              local_shard, network, ShardMap::EndpointForHost(name_))),
+      kvs_(shard_map != nullptr ? KvsClient(network, name_, shard_map, local_shard)
+                                : KvsClient(network, name_)),
       tier_(std::make_unique<LocalTier>(&kvs_, &executor->clock())),
-      memory_(&executor->clock(), config_.memory_bytes),
-      cpu_(&executor->clock(), config_.cores),
-      share_rng_(HashBytes(reinterpret_cast<const uint8_t*>(config_.name.data()),
-                           config_.name.size())) {
+      memory_(&executor->clock(), settings_.host_memory_bytes),
+      cpu_(&executor->clock(), settings_.cores_per_host),
+      share_rng_(HashBytes(reinterpret_cast<const uint8_t*>(name_.data()), name_.size())) {
   // Multi-endpoint batch groups (writes AND grouped reads) overlap their
   // round trips on spawned activities regardless of the batching toggles.
   kvs_.SetSpawner([this](std::function<void()> fn) { executor_->Spawn(std::move(fn)); });
-  if (config_.batch_state_ops) {
+  if (settings_.batch_state_ops) {
     // Batched state-op protocol: state pushes enqueue into the client's
     // ambient batch.
     kvs_.EnableBatching();
   }
-  kvs_.set_read_batching(config_.batch_state_reads);
-  if (config_.read_cache) {
-    kvs_.EnableReadCache(config_.read_lease_ns);
+  kvs_.set_read_batching(settings_.batch_state_reads);
+  if (settings_.read_cache) {
+    kvs_.EnableReadCache(settings_.read_lease_ns);
   }
 }
 
@@ -80,16 +81,16 @@ void FaasmInstance::Start() {
   }
   // The host endpoint answers nothing synchronously; work sharing uses the
   // mailbox. Registering makes the name routable for accounting.
-  network_->RegisterEndpoint(config_.name, [](const Bytes&) { return Bytes{}; });
+  network_->RegisterEndpoint(name_, [](const Bytes&) { return Bytes{}; });
   executor_->Spawn([this] { DispatchLoop(); });
-  if (!config_.failure_detector_endpoint.empty() && config_.heartbeat_interval_ns > 0) {
+  if (!failure_detector_endpoint_.empty() && settings_.heartbeat_interval_ns > 0) {
     executor_->Spawn([this] { HeartbeatLoop(); });
   }
 }
 
 void FaasmInstance::Stop() {
   if (!stop_.exchange(true) && started_.load()) {
-    executor_->clock().Notify(network_->Arrivals(config_.name));  // wake the dispatcher
+    executor_->clock().Notify(network_->Arrivals(name_));  // wake the dispatcher
   }
 }
 
@@ -101,10 +102,9 @@ void FaasmInstance::HeartbeatLoop() {
   // strictly precedes the probe failure that confirms its death.
   while (!stop_.load()) {
     if (!heartbeats_suppressed_.load()) {
-      network_->Send(config_.name, config_.failure_detector_endpoint,
-                     EncodeHeartbeat(config_.name));
+      network_->Send(name_, failure_detector_endpoint_, EncodeHeartbeat(name_));
     }
-    executor_->clock().SleepFor(config_.heartbeat_interval_ns);
+    executor_->clock().SleepFor(settings_.heartbeat_interval_ns);
   }
 }
 
@@ -152,25 +152,25 @@ void FaasmInstance::UpdateWarmSets(const std::vector<std::string>& functions, bo
   if (functions.empty()) {
     return;
   }
-  if (config_.batch_state_ops && functions.size() > 1) {
+  if (settings_.batch_state_ops && functions.size() > 1) {
     // The warm keys hash across shards: one batched dispatch groups the
     // membership updates into at most one RPC per master endpoint instead
     // of one round trip per function.
     OpBatch batch;
     for (const std::string& function : functions) {
       if (advertise) {
-        batch.SetAdd("warm:" + function, config_.name);
+        batch.SetAdd("warm:" + function, name_);
       } else {
-        batch.SetRemove("warm:" + function, config_.name);
+        batch.SetRemove("warm:" + function, name_);
       }
     }
     (void)kvs_.ExecuteBatchNow(std::move(batch));
   } else {
     for (const std::string& function : functions) {
       if (advertise) {
-        (void)kvs_.SetAdd("warm:" + function, config_.name);
+        (void)kvs_.SetAdd("warm:" + function, name_);
       } else {
-        (void)kvs_.SetRemove("warm:" + function, config_.name);
+        (void)kvs_.SetRemove("warm:" + function, name_);
       }
     }
   }
@@ -186,7 +186,7 @@ bool FaasmInstance::Drained() const {
   // first read — impossible once CloseIntake() stopped new sends, which is
   // when this barrier is authoritative (the pre-migration wait is only a
   // best-effort quiescence; correctness there rests on freeze/filter).
-  return network_->PendingCount(config_.name) == 0 && accepting_.load() == 0 &&
+  return network_->PendingCount(name_) == 0 && accepting_.load() == 0 &&
          running_calls_.load() == 0;
 }
 
@@ -222,25 +222,25 @@ void FaasmInstance::Kill() {
   // that wakes after this observes a dead host and stops re-advertising.
   Stop();
   draining_.store(true);
-  network_->UnregisterEndpoint(config_.name);
+  network_->UnregisterEndpoint(name_);
   if (shard_server_ != nullptr) {
     network_->UnregisterEndpoint(shard_server_->endpoint());
   }
   // The replica channel (kvs/replication.h) dies with the host too. The
   // endpoint exists only when the cluster runs replication; unregistering a
   // never-registered name is a no-op.
-  network_->UnregisterEndpoint("rep:" + config_.name);
+  network_->UnregisterEndpoint("rep:" + name_);
   // NOTE: shard_server_ (and the instance itself) must stay alive — a
   // handler on another thread may be mid-request; unregistering only stops
   // NEW calls from routing here.
 }
 
 void FaasmInstance::FailAbandonedMail() {
-  for (const Bytes& message : network_->DrainMailbox(config_.name)) {
+  for (const Bytes& message : network_->DrainMailbox(name_)) {
     auto call = DecodeSharedCall(message);
     if (call.ok()) {
       (void)calls_->Fail(call.value().id,
-                         "host '" + config_.name + "' crashed before executing call");
+                         "host '" + name_ + "' crashed before executing call");
     }
   }
 }
@@ -251,12 +251,12 @@ void FaasmInstance::CloseIntake() {
   // dispatcher keeps polling until the caller observes Drained() and stops
   // it. The shard server (if any) stays registered: its epoch-aware
   // ownership check redirects every straggler op to the key's new master.
-  network_->UnregisterEndpoint(config_.name);
+  network_->UnregisterEndpoint(name_);
 }
 
 void FaasmInstance::DispatchLoop() {
   SimClock& clock = executor_->clock();
-  WaitQueue& arrivals = network_->Arrivals(config_.name);
+  WaitQueue& arrivals = network_->Arrivals(name_);
   while (true) {
     // Read before the checks it guards: a Send into the empty mailbox or a
     // Stop that lands after them bumps it, and Park returns at once.
@@ -270,7 +270,7 @@ void FaasmInstance::DispatchLoop() {
     // zero and retire the host around a just-accepted call.
     accepting_.fetch_add(1);
     TimeNs next_delivery = kNoDeadline;
-    auto message = network_->Poll(config_.name, &next_delivery);
+    auto message = network_->Poll(name_, &next_delivery);
     if (!message.has_value()) {
       Release(accepting_);
       // Sleep until the oldest in-flight message lands, or until mail is
@@ -282,7 +282,7 @@ void FaasmInstance::DispatchLoop() {
     if (call.ok()) {
       ExecuteLocal(call.value().id, call.value().function, std::move(call.value().input));
     } else {
-      LOG_ERROR << config_.name << ": bad shared-call message: " << call.status().ToString();
+      LOG_ERROR << name_ << ": bad shared-call message: " << call.status().ToString();
     }
     Release(accepting_);
   }
@@ -309,7 +309,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     auto it = pools_.find(function);
     warm_here = it != pools_.end() && it->second.total > 0;
   }
-  const bool has_capacity = running_calls_.load() < config_.max_concurrent_calls;
+  const bool has_capacity = running_calls_.load() < settings_.max_concurrent_per_host;
   if (warm_here && has_capacity) {
     ExecuteLocal(call_id, function, std::move(input));
     return OkStatus();
@@ -336,7 +336,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
   FAASM_ASSIGN_OR_RETURN(auto warm_hosts, WarmMembers(function));
   std::vector<std::string> others;
   for (const std::string& host : warm_hosts) {
-    if (host != config_.name) {
+    if (host != name_) {
       others.push_back(host);
     }
   }
@@ -359,7 +359,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     if (target == nullptr) {
       target = &others[share_rng_.NextBelow(others.size())];
     }
-    Status shared = network_->Send(config_.name, *target, EncodeSharedCall(call_id, function, input));
+    Status shared = network_->Send(name_, *target, EncodeSharedCall(call_id, function, input));
     if (shared.ok()) {
       return OkStatus();
     }
@@ -381,11 +381,11 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
     std::lock_guard<std::mutex> guard(warm_cache_mutex_);
     function_seen_warm = warm_ever_.count(function) > 0;
   }
-  if (!function_seen_warm && !affinity_hosts.empty() && affinity_hosts[0] != config_.name) {
+  if (!function_seen_warm && !affinity_hosts.empty() && affinity_hosts[0] != name_) {
     // Cold start forwards to the MASTER holder even for read-mostly
     // functions: the first call writes the warm-set entry and often the
     // state itself, and the master absorbs both without a forward hop.
-    Status forwarded = network_->Send(config_.name, affinity_hosts[0],
+    Status forwarded = network_->Send(name_, affinity_hosts[0],
                                       EncodeSharedCall(call_id, function, input));
     if (forwarded.ok()) {
       return OkStatus();
@@ -398,7 +398,7 @@ Status FaasmInstance::ScheduleCall(uint64_t call_id, const std::string& function
 }
 
 Result<std::vector<std::string>> FaasmInstance::WarmMembers(const std::string& function) {
-  const TimeNs ttl = config_.warm_set_ttl_ns;
+  const TimeNs ttl = settings_.warm_set_ttl_ns;
   const TimeNs now = executor_->clock().Now();
   if (ttl > 0) {
     std::vector<std::string> cached;
@@ -460,7 +460,7 @@ void FaasmInstance::InvalidateWarmCache(const std::string& function) {
 }
 
 void FaasmInstance::UpdateWarmAdvertisement() {
-  const bool saturated = running_calls_.load() >= config_.max_concurrent_calls;
+  const bool saturated = running_calls_.load() >= settings_.max_concurrent_per_host;
   if (advertised_saturated_.exchange(saturated) == saturated) {
     return;
   }
@@ -503,8 +503,18 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
       Release(running_calls_);
       return;
     }
-    (void)calls_->MarkRunning(call_id, config_.name, cold);
-    clock.SleepFor(config_.per_call_overhead_ns);
+    Status running = calls_->MarkRunning(call_id, name_, cold);
+    if (!running.ok()) {
+      // Mail naming a call the table never issued (forged or corrupted):
+      // nobody awaits it and there is no record to complete, so drop it
+      // unrun and hand the untouched Faaslet back to its pool.
+      LOG_ERROR << name_ << ": dropping unknown call: " << running.ToString();
+      ReleaseFaaslet(std::move(faaslet).value());
+      Release(running_calls_);
+      UpdateWarmAdvertisement();
+      return;
+    }
+    clock.SleepFor(kPerCallOverheadNs);
 
     Faaslet& f = *faaslet.value();
     Result<int> code = 0;
@@ -526,8 +536,7 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     // visible. No-op when the call's pushes already flushed themselves.
     Status flushed = kvs_.FlushBatch();
     if (!flushed.ok()) {
-      LOG_WARN << config_.name << ": state batch flush failed at call completion: "
-               << flushed.ToString();
+      LOG_WARN << name_ << ": state batch flush failed at call completion: " << flushed.ToString();
     }
 
     // Reset from the creation snapshot so the next call (possibly another
@@ -542,7 +551,7 @@ void FaasmInstance::ExecuteLocal(uint64_t call_id, const std::string& function, 
     if (reset.ok()) {
       ReleaseFaaslet(std::move(faaslet).value());
     } else {
-      LOG_WARN << config_.name << ": faaslet reset failed: " << reset.ToString();
+      LOG_WARN << name_ << ": faaslet reset failed: " << reset.ToString();
       memory_.Release(footprint);
     }
     SyncTierAccounting();
@@ -564,13 +573,11 @@ FaasletEnv FaasmInstance::MakeEnv() {
   env.tier = tier_.get();
   env.files = files_;
   env.network = network_;
-  env.host_endpoint = config_.name;
+  env.host_endpoint = name_;
   env.cpu = &cpu_;
   env.chain = [this](const std::string& fn, Bytes in) { return Submit(fn, std::move(in)); };
   env.await = [this](uint64_t id) { return Await(id); };
   env.get_output = [this](uint64_t id) { return calls_->Output(id); };
-  env.guest_bounds = config_.guest_bounds;
-  env.guest_dispatch = config_.guest_dispatch;
   return env;
 }
 
@@ -655,7 +662,7 @@ Result<std::unique_ptr<Faaslet>> FaasmInstance::AcquireFaaslet(const std::string
   // Advertise this host as warm for the function (unless saturated or on
   // the way out of the cluster).
   if (!advertised_saturated_.load() && !draining_.load()) {
-    (void)kvs_.SetAdd("warm:" + function, config_.name);
+    (void)kvs_.SetAdd("warm:" + function, name_);
     InvalidateWarmCache(function);
   }
   return faaslet;
@@ -683,7 +690,7 @@ void FaasmInstance::SyncTierAccounting() {
     // not fail the call (the state already exists in the region).
     Status status = memory_.Allocate(now_bytes - before);
     if (!status.ok()) {
-      LOG_WARN << config_.name << ": local tier exceeds host memory";
+      LOG_WARN << name_ << ": local tier exceeds host memory";
     }
   } else if (before > now_bytes) {
     memory_.Release(before - now_bytes);

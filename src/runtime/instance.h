@@ -23,13 +23,18 @@
 
 namespace faasm {
 
-struct HostConfig {
-  std::string name = "host-0";
-  int cores = 4;
-  size_t memory_bytes = size_t{16} * 1024 * 1024 * 1024;  // paper testbed: 16 GB
-  int max_concurrent_calls = 64;
-  // Execution overhead charged per call (runtime dispatch, thread wake-up).
-  TimeNs per_call_overhead_ns = 50 * kMicrosecond;
+// Per-host settings (§5: one FAASM instance per host with a fixed CPU share,
+// memory limit and scheduling policy). ClusterConfig derives from this
+// struct, so FaasmCluster and KnativeCluster hand every host they build —
+// at construction or in AddHost() — the same object. A host's name and the
+// failure detector's endpoint are wiring, not settings: the cluster passes
+// them separately.
+struct HostSettings {
+  int cores_per_host = 4;
+  size_t host_memory_bytes = size_t{16} * 1024 * 1024 * 1024;  // paper testbed: 16 GB
+  // Running calls at which a host is saturated: new calls look for a warm
+  // peer first, and the host withdraws from the warm sets.
+  int max_concurrent_per_host = 64;
   // Age (virtual time) after which a cached warm-set view is refreshed
   // from the global tier. The refresh runs off the call path: a decision
   // that finds the view older than this still schedules from it and starts
@@ -51,18 +56,10 @@ struct HostConfig {
   // workloads must not opt into (see the coherence rules in kvs_client.h).
   bool read_cache = false;
   TimeNs read_lease_ns = 2 * kMillisecond;
-  // Guest execution tiers for every Faaslet on this host (wasm/instance.h).
-  // Defaults are the fast tiers (guard-page bounds elision + threaded
-  // dispatch); the checked/switch tiers are the ablation baselines and the
-  // automatic fallback under sanitizers or non-GNU compilers.
-  wasm::GuestBounds guest_bounds = wasm::GuestBounds::kGuardPage;
-  wasm::GuestDispatch guest_dispatch = wasm::GuestDispatch::kThreaded;
-  // Failure detection (runtime/failure_detector.h). When the cluster runs a
-  // detector, it names the detector's mailbox endpoint here and the host
-  // publishes one heartbeat per interval from a dedicated activity; a crash
-  // (Kill) silences it atomically with the endpoints vanishing. Empty
-  // endpoint or interval 0 = no heartbeats (oracle-only clusters).
-  std::string failure_detector_endpoint;
+  // Failure detection (runtime/failure_detector.h): a host given a detector
+  // endpoint publishes one heartbeat per interval from a dedicated activity;
+  // a crash (Kill) silences it atomically with the endpoints vanishing.
+  // Interval 0 = no heartbeats.
   TimeNs heartbeat_interval_ns = 5 * kMillisecond;
 };
 
@@ -73,9 +70,12 @@ class FaasmInstance {
   // routes per key (kvs/router.h). Both null → legacy centralised "kvs"
   // endpoint; shard_map set with null local_shard → routing without a
   // co-located shard (centralised ablation).
-  FaasmInstance(HostConfig config, SimExecutor* executor, InProcNetwork* network,
-                FunctionRegistry* registry, CallTable* calls, GlobalFileStore* files,
-                const ShardMap* shard_map = nullptr, KvStore* local_shard = nullptr);
+  // `failure_detector_endpoint` names the detector's mailbox the host
+  // heartbeats into; empty = no heartbeats (oracle-only clusters).
+  FaasmInstance(std::string name, const HostSettings& settings, SimExecutor* executor,
+                InProcNetwork* network, FunctionRegistry* registry, CallTable* calls,
+                GlobalFileStore* files, const ShardMap* shard_map = nullptr,
+                KvStore* local_shard = nullptr, std::string failure_detector_endpoint = "");
   ~FaasmInstance();
 
   FaasmInstance(const FaasmInstance&) = delete;
@@ -142,7 +142,10 @@ class FaasmInstance {
   // Blocks (virtually) until the call finishes; returns its exit code.
   Result<int> Await(uint64_t call_id);
 
-  const std::string& name() const { return config_.name; }
+  // Execution overhead charged per call (runtime dispatch, thread wake-up).
+  static constexpr TimeNs kPerCallOverheadNs = 50 * kMicrosecond;
+
+  const std::string& name() const { return name_; }
   LocalTier& tier() { return *tier_; }
   KvsClient& kvs() { return kvs_; }
   // This host's shard server, or null in centralised mode. Benches read its
@@ -207,7 +210,9 @@ class FaasmInstance {
   FaasletEnv MakeEnv();
   void SyncTierAccounting();
 
-  HostConfig config_;
+  const std::string name_;
+  const HostSettings settings_;
+  const std::string failure_detector_endpoint_;
   SimExecutor* executor_;
   InProcNetwork* network_;
   FunctionRegistry* registry_;

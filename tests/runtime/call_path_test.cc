@@ -36,9 +36,8 @@ TEST(CallPathTest, RemoteCallLatencyMatchesNetworkAndOverheadModel) {
   ClusterConfig config = FourHosts();
   FaasmCluster cluster(config);
   RegisterNoop(cluster);
-  HostConfig host_defaults;
   const TimeNs latency = config.network.base_latency_ns;
-  const TimeNs overhead = host_defaults.per_call_overhead_ns;
+  const TimeNs overhead = FaasmInstance::kPerCallOverheadNs;
   CallRecord record;
   TimeNs await_returned = -1;
   cluster.Run([&](Frontend&) {

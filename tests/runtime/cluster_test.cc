@@ -397,6 +397,26 @@ TEST(ClusterTest, AddHostJoinsWarmSharingAndAffinity) {
   });
 }
 
+TEST(ClusterTest, HostSettingsReachConstructedAndAddedHosts) {
+  // Non-default per-host settings reach every host: the two built at
+  // construction and the one AddHost() builds later.
+  ClusterConfig config = SmallCluster(2);
+  config.host_memory_bytes = size_t{96} * 1024 * 1024;
+  config.read_cache = true;
+  config.batch_state_ops = false;
+  FaasmCluster cluster(config);
+  cluster.Run([&](Frontend&) { ASSERT_TRUE(cluster.AddHost().ok()); });
+  ASSERT_EQ(cluster.host_count(), 3u);
+  for (size_t i = 0; i < cluster.host_count(); ++i) {
+    FaasmInstance& host = cluster.host(i);
+    EXPECT_TRUE(host.kvs().read_cache_enabled()) << host.name();
+    EXPECT_FALSE(host.kvs().batching_enabled()) << host.name();
+    EXPECT_EQ(host.cpu().cores(), 2) << host.name();
+    EXPECT_EQ(host.memory_accountant().capacity_bytes(), config.host_memory_bytes)
+        << host.name();
+  }
+}
+
 TEST(ClusterTest, MalformedWasmRejectedAtUpload) {
   FaasmCluster cluster(SmallCluster(1));
   EXPECT_FALSE(cluster.registry().UploadWasm("bad", Bytes{1, 2, 3}).ok());

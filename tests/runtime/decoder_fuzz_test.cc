@@ -3,9 +3,12 @@
 // mailbox (the shared-call frame its dispatcher and crash path decode).
 // Valid frames are mutated one byte at a time and truncated, and random
 // frames are thrown in; nothing may crash, and a host must keep serving
-// (or, once crashed, keep failing its decodable calls) around the junk.
+// (or, once crashed, keep failing its decodable calls) around the junk. A
+// decodable frame naming a call id the call table never issued runs nothing.
 // Seeded RNG, bounded iterations.
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "common/rng.h"
 #include "runtime/cluster.h"
@@ -121,6 +124,50 @@ TEST(MailboxFuzzTest, DispatcherDropsUndecodableMailAndKeepsServing) {
   EXPECT_EQ(host.executed_call_count(), 1u);
 }
 
+TEST(MailboxFuzzTest, DecodableMailForAnUnknownCallIdRunsNothing) {
+  ClusterConfig config;
+  config.hosts = 1;
+  FaasmCluster cluster(config);
+  std::atomic<int> runs{0};
+  ASSERT_TRUE(cluster.registry()
+                  .RegisterNative("fn",
+                                  [&runs](InvocationContext&) {
+                                    runs.fetch_add(1);
+                                    return 0;
+                                  })
+                  .ok());
+  FaasmInstance& host = cluster.host(0);
+
+  cluster.Run([&](Frontend&) {
+    // A well-formed frame naming a registered function under an id the
+    // call table never issued.
+    constexpr uint64_t kForgedId = 987654;
+    ASSERT_FALSE(cluster.calls().Get(kForgedId).ok());
+    ASSERT_TRUE(
+        cluster.network().Send("fuzzer", host.name(), SharedCallFrame(kForgedId, "fn", {})).ok());
+    host.AwaitDrained();
+    EXPECT_EQ(runs.load(), 0);
+    EXPECT_EQ(host.executed_call_count(), 0u);
+    EXPECT_FALSE(cluster.calls().Get(kForgedId).ok());
+
+    // A real call sent afterwards completes, on the Faaslet the dropped
+    // mail left in the pool.
+    const uint64_t id = cluster.calls().Create("fn", Bytes{});
+    ASSERT_TRUE(
+        cluster.network().Send("fuzzer", host.name(), SharedCallFrame(id, "fn", Bytes{})).ok());
+    cluster.calls().AwaitFinished(id);
+    auto record = cluster.calls().Get(id);
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record.value().state, CallState::kDone);
+    EXPECT_EQ(record.value().executed_on, host.name());
+  });
+  cluster.Shutdown();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(host.executed_call_count(), 1u);
+  EXPECT_EQ(host.cold_start_count(), 1u);
+  EXPECT_EQ(host.warm_faaslet_count(), 1u);
+}
+
 TEST(MailboxFuzzTest, CrashedHostSkipsUndecodableMailAndFailsTheRest) {
   SimExecutor executor;
   NetworkConfig network_config;
@@ -129,23 +176,21 @@ TEST(MailboxFuzzTest, CrashedHostSkipsUndecodableMailAndFailsTheRest) {
   FunctionRegistry registry;
   CallTable calls(&executor.clock());
   GlobalFileStore files;
-  HostConfig host_config;
-  host_config.name = "host-0";
   // Never started: no dispatcher drains the mailbox, so every letter is
   // still there when the host dies.
-  FaasmInstance host(host_config, &executor, &network, &registry, &calls, &files);
-  network.RegisterEndpoint(host_config.name, [](const Bytes&) { return Bytes{}; });
+  FaasmInstance host("host-0", HostSettings{}, &executor, &network, &registry, &calls, &files);
+  network.RegisterEndpoint(host.name(), [](const Bytes&) { return Bytes{}; });
 
   std::vector<uint64_t> ids;
   executor.Spawn([&] {
     for (uint64_t seed : kSeeds) {
       for (Bytes& junk : UndecodableMail(seed)) {
-        ASSERT_TRUE(network.Send("fuzzer", host_config.name, std::move(junk)).ok());
+        ASSERT_TRUE(network.Send("fuzzer", host.name(), std::move(junk)).ok());
       }
       const uint64_t id = calls.Create("fn", Bytes{});
       ids.push_back(id);
       ASSERT_TRUE(
-          network.Send("fuzzer", host_config.name, SharedCallFrame(id, "fn", Bytes{})).ok());
+          network.Send("fuzzer", host.name(), SharedCallFrame(id, "fn", Bytes{})).ok());
     }
     host.Kill();
     host.FailAbandonedMail();
@@ -159,7 +204,7 @@ TEST(MailboxFuzzTest, CrashedHostSkipsUndecodableMailAndFailsTheRest) {
     EXPECT_EQ(record.value().state, CallState::kFailed);
     EXPECT_NE(record.value().error.find("crashed"), std::string::npos) << record.value().error;
   }
-  EXPECT_EQ(network.PendingCount(host_config.name), 0u);
+  EXPECT_EQ(network.PendingCount(host.name()), 0u);
 }
 
 }  // namespace
